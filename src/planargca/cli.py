@@ -77,9 +77,21 @@ def _expect_keys(config: Any, required: set, optional: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _integer(value: Any, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
 def _positive_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+    if _integer(value, where) <= 0:
         raise ConfigError(f"{where} must be a positive integer")
+    return value
+
+
+def _boolean(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false")
     return value
 
 
@@ -129,10 +141,12 @@ def _omega_spec(config: Any, where: str) -> OmegaSpec:
 
 def _whittaker(config: dict, where: str):
     _expect_keys(config, {"m", "n", "values"}, {"centrals"}, where)
+    m = _integer(config["m"], f"{where}.m")
+    n = _integer(config["n"], f"{where}.n")
     values = dict(config["values"])
     values.update(config.get("centrals", {}))
     try:
-        return validate_whittaker(values, int(config["m"]), int(config["n"]))
+        return validate_whittaker(values, m, n)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -247,11 +261,15 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
                 seed_poly = random_poly(
                     rng,
                     _positive_int(random_cfg["max_degree"], "max_degree"),
-                    zero_constant_term=bool(
-                        random_cfg.get("zero_constant_term", False)
+                    zero_constant_term=_boolean(
+                        random_cfg.get("zero_constant_term", False),
+                        "closure.random_seeds.zero_constant_term",
                     ),
                 )
-                if random_cfg.get("multiply_by_sigma"):
+                if _boolean(
+                    random_cfg.get("multiply_by_sigma", False),
+                    "closure.random_seeds.multiply_by_sigma",
+                ):
                     if spec.sigma is None:
                         raise ConfigError(
                             "closure.random_seeds.multiply_by_sigma needs sigma"
@@ -261,6 +279,8 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
         if not seeds:
             raise ConfigError("closure section supplies no seeds")
         expect = closure.get("expect_contains_one")
+        if expect is not None:
+            _boolean(expect, "closure.expect_contains_one")
         for i, seed_poly in enumerate(seeds):
             probe = submodule_closure_probe(
                 spec,
@@ -312,11 +332,12 @@ def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
         },
     ]
     if "expect_found" in config:
+        expect_found = _boolean(config["expect_found"], "expect_found")
         checks.append(
             {
                 "id": "expected-outcome",
-                "ok": report.found == bool(config["expect_found"]),
-                "expected_found": bool(config["expect_found"]),
+                "ok": report.found == expect_found,
+                "expected_found": expect_found,
             }
         )
     if "expect_witness" in config:
@@ -404,7 +425,8 @@ def _run_tensor_probe(config: dict, rng: random.Random) -> List[dict]:
     label = j_nilpotency_witness(spec, module, seed)
     ok = True
     if "expect_reached" in config:
-        ok = ok and probe.reached_one_tensor == bool(config["expect_reached"])
+        expect_reached = _boolean(config["expect_reached"], "expect_reached")
+        ok = ok and probe.reached_one_tensor == expect_reached
     if "expect_j_witness" in config:
         ok = ok and label == config["expect_j_witness"]
     return [

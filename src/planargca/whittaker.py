@@ -9,12 +9,18 @@ forced to vanish; ``validate_whittaker`` rejects anything else.
 
 The induced cyclic module has a PBW basis of monomials in the remaining
 ("free") generators, L_k/H_k with k < m and I_k/J_k with k < n, applied to
-the cyclic vector.  ``whittaker_act`` computes a generator action by normal
-ordering: factors belonging to the subalgebra (or central) are commuted to
-the right, picking up bracket terms on the way, and evaluate to their
-psi-value once they reach the cyclic vector.  Every bracket term is a
-strictly shorter word, so the rewriting terminates and lands back on the
-free PBW basis.
+the cyclic vector.  ``whittaker_act`` computes a generator action by
+recursion on the first factor: writing a basis monomial as ``x u``, a free
+``g`` sorting at or before ``x`` is prepended, a central ``g`` (or any
+``g`` meeting the cyclic vector itself) evaluates to its psi-value, and
+otherwise ``g . x u = x . (g . u) + [g, x] . u``.  Every recursive image
+is of a monomial shorter than ``x u``, except x acting on the leading term
+of ``g . u``, which takes x in front at once; so the recursion terminates
+on the free PBW basis.
+Images are memoized on (generator, monomial) within one scope: a single
+``whittaker_act`` call, or one basis column of the singular-vector search,
+whose memo also serves the spot check above the index bound and is dropped
+before the next column.
 
 Degree bookkeeping uses exponent vectors written highest index first, so a
 block of length l reads (e_{l-1}, ..., e_1, e_0).  The weight of such a
@@ -274,65 +280,99 @@ class ModuleVector:
         )
 
 
-def _evaluable(datum: WhittakerDatum, g: Generator) -> bool:
-    return g.is_central or datum.in_subalgebra(g)
+Image = Dict[PBWMonomial, Scalar]
 
 
-def _evaluate_word(
-    datum: WhittakerDatum,
-    coeff: Scalar,
-    word: Tuple[Generator, ...],
-    out: Dict[PBWMonomial, Scalar],
-) -> None:
-    """Accumulate the normal form of ``coeff * word . w`` into ``out``.
+def _accumulate(out: Image, mono: PBWMonomial, coeff: Scalar) -> None:
+    updated = out.get(mono, ZERO) + coeff
+    if updated:
+        out[mono] = updated
+    else:
+        out.pop(mono, None)
 
-    Worklist rewriting: trailing subalgebra factors evaluate immediately;
-    a subalgebra factor stuck left of free ones is swapped rightward,
-    spawning one shorter bracket word per structure-constant term; pure
-    free words are sorted into canonical order the same way.
+
+def _prepend(g: Generator, mono: PBWMonomial) -> PBWMonomial:
+    """``g * mono`` for a generator sorting at or before the first factor."""
+    factors = mono.factors
+    if factors and factors[0][0] == g:
+        return PBWMonomial(((g, factors[0][1] + 1),) + factors[1:])
+    return PBWMonomial(((g, 1),) + factors)
+
+
+class _LeftAction:
+    """Generator images of free PBW monomials, memoized on (g, monomial).
+
+    One instance is one memo scope (see the module docstring); its images
+    are shared and must not be mutated.
     """
-    stack: List[Tuple[Scalar, Tuple[Generator, ...]]] = [(coeff, word)]
-    while stack:
-        c, w = stack.pop()
-        # Evaluate trailing factors greedily; zero psi-values kill the branch.
-        while w and c and _evaluable(datum, w[-1]):
-            c = c * datum.psi(w[-1])
-            w = w[:-1]
-        if not c:
-            continue
-        pos = None
-        for i in range(len(w) - 2, -1, -1):
-            if _evaluable(datum, w[i]):
-                pos = i
-                break
-        if pos is None:
-            # Pure free word: straighten by the canonical order.
-            for i in range(len(w) - 1):
-                if gen_key(w[i]) > gen_key(w[i + 1]):
-                    pos = i
-                    break
-            if pos is None:
-                mono = PBWMonomial.from_word(w)
-                updated = out.get(mono, ZERO) + c
-                if updated:
-                    out[mono] = updated
-                else:
-                    out.pop(mono, None)
-                continue
-        g, h = w[pos], w[pos + 1]
-        stack.append((c, w[:pos] + (h, g) + w[pos + 2:]))
-        for gen, factor in bracket_basis(g, h).terms.items():
-            stack.append((c * factor, w[:pos] + (gen,) + w[pos + 2:]))
+
+    __slots__ = ("datum", "memo")
+
+    def __init__(self, datum: WhittakerDatum):
+        self.datum = datum
+        self.memo: Dict[Tuple[Generator, PBWMonomial], Image] = {}
+
+    def image(self, g: Generator, mono: PBWMonomial) -> Image:
+        """``g . mono . w`` for a monomial in the free generators."""
+        key = (g, mono)
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = self._compute(g, mono)
+        return found
+
+    def _compute(self, g: Generator, mono: PBWMonomial) -> Image:
+        datum = self.datum
+        factors = mono.factors
+        if not datum.is_free(g):
+            if g.is_central or not factors:
+                value = datum.psi(g)
+                return {mono: value} if value else {}
+        elif not factors or gen_key(g) <= gen_key(factors[0][0]):
+            return {_prepend(g, mono): ONE}
+        x, exp = factors[0]
+        rest = PBWMonomial(
+            ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
+        )
+        out = self._apply(x, self.image(g, rest), {})
+        for h, coeff in bracket_basis(g, x).terms.items():
+            self._apply(h, {rest: coeff}, out)
+        return out
+
+    def _apply(self, g: Generator, terms: Image, out: Image) -> Image:
+        """Accumulate ``g`` applied to free-basis ``terms`` into ``out``."""
+        for mono, coeff in terms.items():
+            for term, factor in self.image(g, mono).items():
+                _accumulate(out, term, coeff * factor)
+        return out
+
+    def _normal_form(self, mono: PBWMonomial, coeff: Scalar) -> Image:
+        """``coeff * mono . w`` on the free basis, for any monomial.
+
+        Vectors read from configs may carry subalgebra or central factors;
+        those are applied to the cyclic vector right to left first.
+        """
+        if all(self.datum.is_free(g) for g, _ in mono.factors):
+            return {mono: coeff}
+        terms: Image = {MONOMIAL_ONE: coeff}
+        for g in reversed(mono.word()):
+            terms = self._apply(g, terms, {})
+        return terms
+
+    def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
+        out: Image = {}
+        for mono, coeff in v.terms.items():
+            self._apply(g, self._normal_form(mono, coeff), out)
+        return ModuleVector(out)
+
+    def shifted(self, g: Generator, v: ModuleVector) -> ModuleVector:
+        return self.act(g, v) - v.scale(self.datum.psi(g))
 
 
 def whittaker_act(
     datum: WhittakerDatum, g: Generator, v: ModuleVector
 ) -> ModuleVector:
-    """Action of a generator on a module vector."""
-    out: Dict[PBWMonomial, Scalar] = {}
-    for mono, coeff in v.terms.items():
-        _evaluate_word(datum, coeff, (g,) + mono.word(), out)
-    return ModuleVector(out)
+    """Action of a generator on a module vector (one memo per call)."""
+    return _LeftAction(datum).act(g, v)
 
 
 def act_shifted(
@@ -600,14 +640,6 @@ def check_degree_reduction(
 # -- singular-vector search ---------------------------------------------------
 
 
-def generator_search_weight(datum: WhittakerDatum, g: Generator) -> int:
-    """Enumeration weight of a free generator: distance to its threshold."""
-    if not datum.is_free(g):
-        raise ValueError(f"{gen_str(g)} is not a free generator")
-    threshold = datum.m if g.family in ("L", "H") else datum.n
-    return threshold - g.index
-
-
 def _free_generators(
     datum: WhittakerDatum, weight_bound: int
 ) -> List[Tuple[Generator, int]]:
@@ -703,19 +735,30 @@ def singular_vector_search(
         ((mono, wt) for mono, wt in enumerated),
         key=lambda pair: (pair[1], str(pair[0])),
     )
-    column_index = {mono: i for i, (mono, _) in enumerate(columns)}
     operators = _search_operators(datum, index_max)
 
+    spot_operators = [
+        Generator(fam, index_max + extra)
+        for fam in ("L", "H", "I", "J")
+        for extra in range(1, 4)
+    ]
+
     # Rows are indexed by (operator, output monomial); outputs always stay
-    # within the enumerated weight range plus the empty monomial.
+    # within the enumerated weight range plus the empty monomial.  Each
+    # column gets its own memo, dropped before the next one.
     rows: Dict[Tuple[str, str], Dict[int, Scalar]] = {}
+    spot_ok = True
     for col, (mono, _) in enumerate(columns):
+        action = _LeftAction(datum)
         base = ModuleVector.single(mono)
         for op in operators:
-            shifted = act_shifted(datum, op, base)
+            shifted = action.shifted(op, base)
             for out_mono, coeff in shifted.terms.items():
                 key = (gen_str(op), str(out_mono))
                 rows.setdefault(key, {})[col] = coeff
+        for op in spot_operators:
+            if action.shifted(op, base):
+                spot_ok = False
 
     echelon = SparseEchelon(full_reduce=True)
     for key in sorted(rows):
@@ -735,13 +778,6 @@ def singular_vector_search(
                     "kernel vector failed re-verification; this is a bug"
                 )
 
-    spot_ok = True
-    for fam in ("L", "H", "I", "J"):
-        for extra in range(1, 4):
-            op = Generator(fam, index_max + extra)
-            for mono, _ in columns:
-                if act_shifted(datum, op, ModuleVector.single(mono)):
-                    spot_ok = False
     if not spot_ok:
         raise AssertionError(
             "a generator above the search index bound acted nontrivially"

@@ -207,3 +207,84 @@ def test_text_output_lists_checks(tmp_path, capsys):
     assert code == 0
     assert "PASS jacobi-identity" in out
     assert out.strip().endswith("OK")
+
+
+@pytest.mark.parametrize("key, value", [("m", 1.9), ("m", "1"), ("n", True), ("n", 2.0)])
+def test_non_integer_shape_rejected(tmp_path, capsys, key, value):
+    config = {"m": 1, "n": 1, "values": {"I[1]": "1", "J[1]": "1"}, "weight_bound": 2}
+    config[key] = value
+    code, _, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 2
+    assert f"config.{key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_non_boolean_expect_found_rejected(tmp_path, capsys, value):
+    config = {
+        "m": 1,
+        "n": 1,
+        "values": {"I[1]": "1", "J[1]": "1"},
+        "weight_bound": 2,
+        "expect_found": value,
+    }
+    code, _, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 2
+    assert "expect_found must be true or false" in capsys.readouterr().err
+
+
+def test_boolean_expect_found_false_passes(tmp_path):
+    config = {
+        "m": 1,
+        "n": 1,
+        "values": {"I[1]": "1", "J[1]": "1"},
+        "weight_bound": 2,
+        "expect_found": False,
+    }
+    code, report, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 0
+    assert report["checks"][-1] == {
+        "id": "expected-outcome", "ok": True, "expected_found": False
+    }
+
+
+def test_non_boolean_expect_reached_rejected(tmp_path, capsys):
+    config = {
+        "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "0",
+                 "sigma": [{"xexp": 0, "yexp": 0, "coeff": "1"}]},
+        "restricted": {"kind": "trivial"},
+        "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "1"}], "vector": "1"}],
+        "monomial_bound": 2,
+        "expect_reached": "true",
+    }
+    code, _, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 2
+    assert "expect_reached must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "random_seeds, expect, message",
+    [
+        ({"count": 1, "max_degree": 2, "zero_constant_term": "false"}, True,
+         "zero_constant_term must be true or false"),
+        ({"count": 1, "max_degree": 2, "multiply_by_sigma": 1}, True,
+         "multiply_by_sigma must be true or false"),
+        ({"count": 1, "max_degree": 2}, "yes",
+         "expect_contains_one must be true or false"),
+    ],
+)
+def test_non_boolean_closure_flags_rejected(tmp_path, capsys, random_seeds, expect, message):
+    config = {
+        "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "0",
+                 "sigma": [{"xexp": 0, "yexp": 0, "coeff": "1"}]},
+        "index_bound": 1,
+        "basis_cap": 1,
+        "closure": {
+            "index_bound": 1,
+            "degree_cap": 2,
+            "random_seeds": random_seeds,
+            "expect_contains_one": expect,
+        },
+    }
+    code, _, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert message in capsys.readouterr().err

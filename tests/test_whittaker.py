@@ -2,11 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planargca.algebra import C1, C2, Generator, H, I, J, L, bracket_basis
+from planargca.algebra import (
+    C1,
+    C2,
+    CENTRALS,
+    Generator,
+    H,
+    I,
+    J,
+    L,
+    bracket_basis,
+    gen_key,
+)
 from planargca.pbw import PBWMonomial
 from planargca.sampling import random_block_vector
-from planargca.scalars import ONE, ZERO, sc
+from planargca.scalars import ONE, ZERO, Scalar, sc
 from planargca.whittaker import (
     DerivedAlgebraViolation,
     LengthMismatch,
@@ -165,6 +178,138 @@ def test_restricted_property_probed():
             for extra in range(1, 6):
                 g = Generator(fam, bound + extra)
                 assert whittaker_act(datum, g, v) == ModuleVector.zero()
+
+
+
+# -- reference action by word rewriting -----------------------------------------
+
+
+def reference_act(datum, g, v):
+    """Worklist normal ordering of ``g . v``, independent of the memoized
+    recursion in ``whittaker_act``.
+
+    Trailing subalgebra or central factors evaluate to their psi-value; a
+    subalgebra factor stuck left of free ones is swapped rightward, spawning
+    one shorter bracket word per structure-constant term; pure free words
+    are sorted into canonical order the same way.
+    """
+
+    def evaluable(h):
+        return h.is_central or datum.in_subalgebra(h)
+
+    out = {}
+    stack = [(coeff, (g,) + m.word()) for m, coeff in v.terms.items()]
+    while stack:
+        c, w = stack.pop()
+        while w and c and evaluable(w[-1]):
+            c = c * datum.psi(w[-1])
+            w = w[:-1]
+        if not c:
+            continue
+        pos = next(
+            (i for i in range(len(w) - 2, -1, -1) if evaluable(w[i])), None
+        )
+        if pos is None:
+            pos = next(
+                (
+                    i
+                    for i in range(len(w) - 1)
+                    if gen_key(w[i]) > gen_key(w[i + 1])
+                ),
+                None,
+            )
+            if pos is None:
+                m = PBWMonomial.from_word(w)
+                out[m] = out.get(m, ZERO) + c
+                continue
+        a, b = w[pos], w[pos + 1]
+        stack.append((c, w[:pos] + (b, a) + w[pos + 2:]))
+        for gen, factor in bracket_basis(a, b).terms.items():
+            stack.append((c * factor, w[:pos] + (gen,) + w[pos + 2:]))
+    return ModuleVector(out)
+
+
+PROPERTY_SHAPES = ((1, 1), (1, 2), (2, 2), (3, 1), (1, 4))
+
+
+def gaussian(complex_part):
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if not complex_part:
+        return part.map(Scalar)
+    return st.tuples(part, part).map(lambda pair: Scalar(*pair))
+
+
+@st.composite
+def action_cases(draw):
+    """A datum, an acting generator and a multi-term vector.
+
+    The generator is drawn from one of five kinds: free, inside the acting
+    subalgebra, central, of negative index, or above the search index bound.
+    Vector monomials are free, with an occasional subalgebra or central
+    factor that the action must evaluate first.
+    """
+    m, n = draw(st.sampled_from(PROPERTY_SHAPES))
+    scalars = gaussian(draw(st.booleans()))
+    values = {}
+    for fam, low, high in (
+        ("L", m, 2 * m),
+        ("H", m, 2 * m - 1),
+        ("I", n, m + n - 1),
+        ("J", n, m + n - 1),
+    ):
+        for index in range(low, high + 1):
+            values[Generator(fam, index)] = draw(scalars)
+    for central in CENTRALS:
+        values[central] = draw(scalars)
+    datum = validate_whittaker(values, m, n)
+
+    def threshold(fam):
+        return m if fam in ("L", "H") else n
+
+    fam = draw(st.sampled_from("LHIJ"))
+    kind = draw(
+        st.sampled_from(("free", "subalgebra", "central", "negative", "high"))
+    )
+    if kind == "central":
+        g = draw(st.sampled_from(CENTRALS))
+    elif kind == "free":
+        g = Generator(fam, threshold(fam) - draw(st.integers(1, 3)))
+    elif kind == "subalgebra":
+        g = Generator(fam, threshold(fam) + draw(st.integers(0, m + 1)))
+    elif kind == "negative":
+        g = Generator(fam, -draw(st.integers(1, 3)))
+    else:
+        index_max = 2 * m + 2 * n + 5  # the search's bound at weight 3
+        g = Generator(fam, index_max + draw(st.integers(1, 3)))
+
+    free_gens = st.builds(
+        lambda f, depth: Generator(f, threshold(f) - depth),
+        st.sampled_from("LHIJ"),
+        st.integers(1, 3),
+    )
+    other_gens = st.one_of(
+        st.sampled_from(CENTRALS),
+        st.builds(
+            lambda f, k: Generator(f, threshold(f) + k),
+            st.sampled_from("LHIJ"),
+            st.integers(0, 1),
+        ),
+    )
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.lists(free_gens, max_size=4))
+        if draw(st.integers(0, 4)) == 0:
+            word.append(draw(other_gens))
+        mono = PBWMonomial.from_word(sorted(word, key=gen_key))
+        terms[mono] = draw(scalars.filter(bool))
+    return datum, g, ModuleVector(terms)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(action_cases())
+def test_action_matches_word_rewriting(case):
+    datum, g, v = case
+    assert whittaker_act(datum, g, v) == reference_act(datum, g, v)
 
 
 # -- weights and orders ---------------------------------------------------------
