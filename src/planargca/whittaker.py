@@ -16,7 +16,8 @@ recursion on the first factor: writing a basis monomial as ``x u``, a free
 otherwise ``g . x u = x . (g . u) + [g, x] . u``.  Every recursive image
 is of a monomial shorter than ``x u``, except x acting on the leading term
 of ``g . u``, which takes x in front at once; so the recursion terminates
-on the free PBW basis.
+on the free PBW basis.  It runs on an explicit stack, so the length of a
+monomial is not limited by Python's recursion limit.
 Images are memoized on (generator, monomial) within one scope: a single
 ``whittaker_act`` call, or one basis column of the singular-vector search,
 whose memo also serves the spot check above the index bound and is dropped
@@ -34,6 +35,7 @@ checks predict leading terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import typing
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import (
@@ -313,14 +315,42 @@ class _LeftAction:
         self.memo: Dict[Tuple[Generator, PBWMonomial], Image] = {}
 
     def image(self, g: Generator, mono: PBWMonomial) -> Image:
-        """``g . mono . w`` for a monomial in the free generators."""
+        """``g . mono . w`` for a monomial in the free generators.
+
+        Each image that is not a leaf is computed by a generator frame,
+        which yields every key it needs that is not yet memoized and is
+        sent its image.  The frames sit on an explicit stack, so the depth
+        of the recursion never reaches Python's stack.
+        """
+        memo = self.memo
         key = (g, mono)
-        found = self.memo.get(key)
-        if found is None:
-            found = self.memo[key] = self._compute(g, mono)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        found = self._leaf(g, mono)
+        if found is not None:
+            memo[key] = found
+            return found
+        keys = [key]
+        frames = [self._expand(g, mono)]
+        found = None
+        while frames:
+            try:
+                key = frames[-1].send(found)
+            except StopIteration as done:
+                found = memo[keys.pop()] = done.value
+                frames.pop()
+                continue
+            found = self._leaf(*key)
+            if found is not None:
+                memo[key] = found
+            else:
+                keys.append(key)
+                frames.append(self._expand(*key))
         return found
 
-    def _compute(self, g: Generator, mono: PBWMonomial) -> Image:
+    def _leaf(self, g: Generator, mono: PBWMonomial) -> Optional[Image]:
+        """The image when it needs no other image, else ``None``."""
         datum = self.datum
         factors = mono.factors
         if not datum.is_free(g):
@@ -329,13 +359,34 @@ class _LeftAction:
                 return {mono: value} if value else {}
         elif not factors or gen_key(g) <= gen_key(factors[0][0]):
             return {_prepend(g, mono): ONE}
+        return None
+
+    def _expand(
+        self, g: Generator, mono: PBWMonomial
+    ) -> typing.Generator[Tuple[Generator, PBWMonomial], Image, Image]:
+        """``g . x u = x . (g . u) + [g, x] . u`` for a non-leaf image."""
+        factors = mono.factors
         x, exp = factors[0]
         rest = PBWMonomial(
             ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
         )
-        out = self._apply(x, self.image(g, rest), {})
+        memo = self.memo
+        out: Image = {}
+        head = memo.get((g, rest))
+        if head is None:
+            head = yield (g, rest)
+        for term, coeff in head.items():
+            found = memo.get((x, term))
+            if found is None:
+                found = yield (x, term)
+            for result, factor in found.items():
+                _accumulate(out, result, coeff * factor)
         for h, coeff in bracket_basis(g, x).terms.items():
-            self._apply(h, {rest: coeff}, out)
+            found = memo.get((h, rest))
+            if found is None:
+                found = yield (h, rest)
+            for result, factor in found.items():
+                _accumulate(out, result, coeff * factor)
         return out
 
     def _apply(self, g: Generator, terms: Image, out: Image) -> Image:
@@ -379,7 +430,7 @@ def act_shifted(
     datum: WhittakerDatum, g: Generator, v: ModuleVector
 ) -> ModuleVector:
     """``(g - psi(g)) . v``, the operator every Whittaker vector must kill."""
-    return whittaker_act(datum, g, v) - v.scale(datum.psi(g))
+    return _LeftAction(datum).shifted(g, v)
 
 
 def annihilation_bound(datum: WhittakerDatum, v: ModuleVector) -> int:

@@ -180,6 +180,32 @@ def test_degree_check_explicit_vector(tmp_path):
     assert report["checks"][0]["ok"]
 
 
+@pytest.mark.parametrize(
+    "shape, vector, case, after",
+    [
+        ((2, 2), {"J[0]^500": "1"}, "JI_j_nonzero", [[[0, 499], [0, 0]]]),
+        ((1, 1), {"H[0]^500": "1"}, "HL_h_nonzero", [[[499], [0]]]),
+    ],
+)
+def test_degree_check_long_explicit_vector(tmp_path, shape, vector, case, after):
+    # A monomial of length 500 is deeper than Python's recursion limit
+    # would allow a frame-per-factor action to reach.
+    m, n = shape
+    top = f"[{m + n - 1}]"
+    config = {
+        "m": m,
+        "n": n,
+        "values": {"I" + top: "1", "J" + top: "1"},
+        "vector": vector,
+        "case": case,
+    }
+    code, report, _ = run(tmp_path, "degree-check", config)
+    assert code == 0
+    check = report["checks"][0]
+    assert check["ok"]
+    assert check["degrees_after"] == after
+
+
 def test_reports_are_byte_identical(tmp_path):
     config = {
         "m": 2,

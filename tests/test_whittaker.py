@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +311,37 @@ def action_cases(draw):
 def test_action_matches_word_rewriting(case):
     datum, g, v = case
     assert whittaker_act(datum, g, v) == reference_act(datum, g, v)
+
+
+LONG_DATUM = {
+    "I[1]": "1", "J[1]": "2", "L[2]": "3", "c1": "1/2", "c2": "1/5", "c3": "1/3"
+}
+
+
+@pytest.mark.parametrize("g", [I(1), J(1)])
+def test_action_on_long_monomial_matches_word_rewriting(g):
+    # Far longer than Python's recursion limit allows one frame per factor.
+    datum = validate_whittaker(LONG_DATUM, 1, 1)
+    v = vec(
+        (mono((J(0), 497), (I(0), 2), (H(0), 2), (L(0), 1)), ONE),
+        (mono((J(0), 600)), sc(-2)),
+    )
+    image = whittaker_act(datum, g, v)
+    assert len(image.terms) > 2
+    assert image == reference_act(datum, g, v)
+
+
+def test_action_on_long_monomial_closed_form():
+    # [L2, L0] = -2 L2, so L2 . L0^k w = psi(L2) (L0 - 2)^k w.
+    datum = validate_whittaker(LONG_DATUM, 1, 1)
+    k = 500
+    expected = ModuleVector(
+        {
+            mono((L(0), j)) if j else mono(): sc(3 * comb(k, j) * (-2) ** (k - j))
+            for j in range(k + 1)
+        }
+    )
+    assert whittaker_act(datum, L(2), vec((mono((L(0), k)), ONE))) == expected
 
 
 # -- weights and orders ---------------------------------------------------------
