@@ -26,7 +26,6 @@ from .algebra import (
     InvalidTranslation,
     J,
     L,
-    apply_translation,
     bracket,
     bracket_basis,
     grade,

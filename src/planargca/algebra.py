@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .scalars import ONE, ZERO, Scalar, parse_scalar
+from .scalars import ONE, ZERO, LinearCombination, Scalar, parse_scalar
 
 __all__ = [
     "Generator",
@@ -133,41 +133,10 @@ def parse_gen(text: str) -> Generator:
     return Generator(family, int(index))
 
 
-class Element:
+class Element(LinearCombination):
     """Finite linear combination of generators with scalar coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Generator, Scalar] | None = None):
-        self.terms = {g: c for g, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "Element":
-        return Element()
-
-    @staticmethod
-    def single(g: Generator, coeff: Scalar = ONE) -> "Element":
-        return Element({g: coeff})
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, ZERO) + c
-        return Element(out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, ZERO) - c
-        return Element(out)
-
-    def __neg__(self) -> "Element":
-        return Element({g: -c for g, c in self.terms.items()})
-
-    def scale(self, coeff: Scalar) -> "Element":
-        if not coeff:
-            return Element()
-        return Element({g: c * coeff for g, c in self.terms.items()})
+    __slots__ = ()
 
     def coeff(self, g: Generator) -> Scalar:
         return self.terms.get(g, ZERO)
@@ -175,23 +144,12 @@ class Element:
     def support(self) -> List[Generator]:
         return sorted(self.terms, key=gen_key)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(
             f"({self.terms[g]})*{gen_str(g)}" for g in self.support()
         )
-
-    def __repr__(self) -> str:
-        return f"Element({str(self)})"
 
     def to_json(self) -> Dict[str, str]:
         return {gen_str(g): str(self.terms[g]) for g in self.support()}
@@ -254,11 +212,11 @@ def bracket_basis(g1: Generator, g2: Generator) -> Element:
 
 def bracket(x: Element, y: Element) -> Element:
     """Bilinear extension of the basis bracket."""
-    out = Element.zero()
-    for g1, c1 in x.terms.items():
-        for g2, c2 in y.terms.items():
-            out = out + bracket_basis(g1, g2).scale(c1 * c2)
-    return out
+    return Element.combine(
+        (c1 * c2, bracket_basis(g1, g2))
+        for g1, c1 in x.terms.items()
+        for g2, c2 in y.terms.items()
+    )
 
 
 def grade(g: Generator) -> int:
@@ -295,10 +253,6 @@ class IJTranslation:
 
     def __repr__(self) -> str:
         return f"IJTranslation({self.element})"
-
-
-def apply_translation(t: IJTranslation, y: Element | Generator) -> Element:
-    return t.apply(y)
 
 
 @dataclass

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Element, Generator, bracket_basis
+from .algebra import Generator, bracket_basis
 from .linalg import SparseEchelon
 from .poly import P_ONE, P_ZERO, Poly
 from .scalars import ONE, ZERO, Scalar, scalar_pow
@@ -46,7 +46,6 @@ __all__ = [
     "InvalidSpec",
     "OmegaSpec",
     "omega_act",
-    "omega_act_element",
     "OmegaAxiomReport",
     "verify_omega_axioms",
     "ClosureReport",
@@ -131,13 +130,6 @@ def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
     raise AssertionError(f"unhandled generator {g}")
 
 
-def omega_act_element(spec: OmegaSpec, element: Element, f: Poly) -> Poly:
-    out = P_ZERO
-    for g, coeff in element.terms.items():
-        out = out + omega_act(spec, g, f).scale(coeff)
-    return out
-
-
 class CachedAction:
     """Generator actions extended linearly over cached monomial images.
 
@@ -206,9 +198,10 @@ def verify_omega_axioms(
             lhs_elem = bracket_basis(g1, g2)
             report.pairs_checked += 1
             for which, f in enumerate(monomials):
-                lhs = P_ZERO
-                for g, coeff in lhs_elem.terms.items():
-                    lhs = lhs + action.act(g, f).scale(coeff)
+                lhs = Poly.combine(
+                    (coeff, action.act(g, f))
+                    for g, coeff in lhs_elem.terms.items()
+                )
                 rhs = action.act(g1, action.act(g2, f)) - action.act(
                     g2, action.act(g1, f)
                 )

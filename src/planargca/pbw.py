@@ -13,6 +13,12 @@ term is strictly shorter and every swap removes an inversion, so the
 rewriting terminates; the normal form is unique, and the leftmost-pair
 strategy is fixed so intermediate traces are reproducible (a rightmost
 strategy exists purely to exercise confluence in tests).
+
+An ``EnvelopingElement`` is a ``LinearCombination`` of canonical monomials,
+so sums and scaling are the shared sparse-vector operations.  Straightening
+accumulates finished monomials into one map, and ``multiply`` straightens
+each concatenated pair of monomials and sums the results in one
+``combine``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import re
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .algebra import Generator, bracket_basis, gen_key, gen_str, parse_gen
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, LinearCombination, Scalar, accumulate
 
 __all__ = [
     "PBWMonomial",
@@ -72,9 +78,6 @@ class PBWMonomial:
     def length(self) -> int:
         return sum(exp for _, exp in self.factors)
 
-    def is_one(self) -> bool:
-        return not self.factors
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PBWMonomial):
             return NotImplemented
@@ -110,61 +113,20 @@ class PBWMonomial:
 MONOMIAL_ONE = PBWMonomial()
 
 
-class EnvelopingElement:
+class EnvelopingElement(LinearCombination):
     """Finite linear combination of canonical monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[PBWMonomial, Scalar] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "EnvelopingElement":
-        return EnvelopingElement()
+    __slots__ = ()
 
     @staticmethod
     def one() -> "EnvelopingElement":
         return EnvelopingElement({MONOMIAL_ONE: ONE})
-
-    @staticmethod
-    def single(mono: PBWMonomial, coeff: Scalar = ONE) -> "EnvelopingElement":
-        return EnvelopingElement({mono: coeff})
-
-    def __add__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, ZERO) + coeff
-        return EnvelopingElement(out)
-
-    def __sub__(self, other: "EnvelopingElement") -> "EnvelopingElement":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, ZERO) - coeff
-        return EnvelopingElement(out)
-
-    def scale(self, coeff: Scalar) -> "EnvelopingElement":
-        if not coeff:
-            return EnvelopingElement()
-        return EnvelopingElement(
-            {m: c * coeff for m, c in self.terms.items()}
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EnvelopingElement):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         keys = sorted(self.terms, key=lambda m: (m.length(), str(m)))
         return " + ".join(f"({self.terms[m]})*{m}" for m in keys)
-
-    def __repr__(self) -> str:
-        return f"EnvelopingElement({str(self)})"
 
 
 def _find_inversion(word: Tuple[Generator, ...], strategy: str) -> int | None:
@@ -189,12 +151,7 @@ def straighten(
         coeff, current = stack.pop()
         pos = _find_inversion(current, strategy)
         if pos is None:
-            mono = PBWMonomial.from_word(current)
-            updated = out.get(mono, ZERO) + coeff
-            if updated:
-                out[mono] = updated
-            else:
-                out.pop(mono, None)
+            accumulate(out, PBWMonomial.from_word(current), coeff)
             continue
         g, h = current[pos], current[pos + 1]
         swapped = current[:pos] + (h, g) + current[pos + 2:]
@@ -209,9 +166,8 @@ def multiply(
     u: EnvelopingElement, v: EnvelopingElement
 ) -> EnvelopingElement:
     """Product in the enveloping algebra: concatenate, then straighten."""
-    out = EnvelopingElement.zero()
-    for mono_u, coeff_u in u.terms.items():
-        for mono_v, coeff_v in v.terms.items():
-            straightened = straighten(mono_u.word() + mono_v.word())
-            out = out + straightened.scale(coeff_u * coeff_v)
-    return out
+    return EnvelopingElement.combine(
+        (coeff_u * coeff_v, straighten(mono_u.word() + mono_v.word()))
+        for mono_u, coeff_u in u.terms.items()
+        for mono_v, coeff_v in v.terms.items()
+    )

@@ -1,12 +1,15 @@
 """Sparse exact polynomials in two commuting variables X and Y.
 
-A polynomial is a map ``{(x_exponent, y_exponent): Scalar}`` holding no zero
-coefficients.  Coefficients are Gaussian rationals, so products, shifts and
-linear algebra over these polynomials are all exact.  There are no degree
-caps anywhere: every operation returns the full result.
+A polynomial is a ``LinearCombination`` of exponent pairs
+``(x_exponent, y_exponent)``: sums, differences, negation and scaling are
+the shared sparse-vector operations, and this module adds the product, the
+exact shift ``p(X + dx, Y + dy)`` and the degree queries.  Coefficients are
+Gaussian rationals, so all of it is exact.  There are no degree caps
+anywhere: every operation returns the full result.
 
 The JSON form is a list of ``{"xexp": a, "yexp": b, "coeff": "..."}`` records
-sorted by exponent, with coefficients in the scalar string form.
+sorted by exponent, with coefficients in the scalar string form; exponents
+must be JSON integers.
 """
 
 from __future__ import annotations
@@ -14,17 +17,28 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Iterable, Tuple
 
-from .scalars import ONE, ZERO, Scalar, parse_scalar, scalar_pow
+from .scalars import (
+    ONE,
+    ZERO,
+    LinearCombination,
+    Scalar,
+    parse_scalar,
+    scalar_pow,
+)
 
 __all__ = ["Poly", "X", "Y", "P_ONE", "P_ZERO"]
 
 Exponent = Tuple[int, int]
 
 
-class Poly:
-    """Bivariate polynomial over Gaussian rationals, stored sparsely."""
+class Poly(LinearCombination):
+    """Bivariate polynomial over Gaussian rationals, stored sparsely.
 
-    __slots__ = ("terms",)
+    Unlike the other linear combinations in the package, polynomials are
+    hashable: equal polynomials hash equally.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms: Dict[Exponent, Scalar] | None = None):
         cleaned: Dict[Exponent, Scalar] = {}
@@ -46,22 +60,7 @@ class Poly:
     def monomial(xexp: int, yexp: int, coeff: Scalar = ONE) -> "Poly":
         return Poly({(xexp, yexp): coeff})
 
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, ZERO) + coeff
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, ZERO) - coeff
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly({mono: -coeff for mono, coeff in self.terms.items()})
+    # -- ring operations (sums and scaling come from LinearCombination) ----
 
     def __mul__(self, other: "Poly") -> "Poly":
         out: Dict[Exponent, Scalar] = {}
@@ -70,11 +69,6 @@ class Poly:
                 mono = (a1 + a2, b1 + b2)
                 out[mono] = out.get(mono, ZERO) + c1 * c2
         return Poly(out)
-
-    def scale(self, coeff: Scalar) -> "Poly":
-        if not coeff:
-            return P_ZERO
-        return Poly({mono: c * coeff for mono, c in self.terms.items()})
 
     def shift(self, dx: Scalar, dy: Scalar) -> "Poly":
         """Return ``p(X + dx, Y + dy)`` expanded exactly.
@@ -122,14 +116,6 @@ class Poly:
     def is_univariate_in_x(self) -> bool:
         return all(b == 0 for _, b in self.terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
@@ -146,9 +132,6 @@ class Poly:
             pieces.append(f"{text}{vars_part}" if vars_part else text)
         return " + ".join(pieces)
 
-    def __repr__(self) -> str:
-        return f"Poly({str(self)})"
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list:
@@ -161,10 +144,18 @@ class Poly:
     def from_json(records: Iterable[dict]) -> "Poly":
         terms: Dict[Exponent, Scalar] = {}
         for record in records:
-            mono = (int(record["xexp"]), int(record["yexp"]))
+            mono = (_exponent(record, "xexp"), _exponent(record, "yexp"))
             coeff = parse_scalar(str(record["coeff"]))
             terms[mono] = terms.get(mono, ZERO) + coeff
         return Poly(terms)
+
+
+def _exponent(record: dict, key: str) -> int:
+    """A JSON integer exponent; floats, booleans and strings are refused."""
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 P_ZERO = Poly()

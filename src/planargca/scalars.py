@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Union
+from typing import Dict, Hashable, Iterable, Tuple, TypeVar, Union
 
 __all__ = [
     "Scalar",
@@ -28,6 +28,8 @@ __all__ = [
     "scalar_pow",
     "parse_scalar",
     "ZeroToNegativePower",
+    "accumulate",
+    "LinearCombination",
 ]
 
 
@@ -185,13 +187,13 @@ class Scalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
+        # Equal values hash equally: a real scalar equals its Fraction.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
-
-    def is_rational(self) -> bool:
-        return not self.im
 
     def __str__(self) -> str:
         if not self:
@@ -290,3 +292,88 @@ def parse_scalar(text: str) -> Scalar:
                 raise ValueError(f"repeated real part in {text!r}")
             re_part = value
     return Scalar(re_part or 0, im_part or 0)
+
+
+# -- sparse linear combinations ------------------------------------------------
+
+
+def accumulate(out: Dict[Hashable, Scalar], key: Hashable, coeff: Scalar) -> None:
+    """Add ``coeff`` to ``out[key]`` in place, dropping the entry at zero."""
+    updated = out.get(key, ZERO) + coeff
+    if updated:
+        out[key] = updated
+    else:
+        out.pop(key, None)
+
+
+Combination = TypeVar("Combination", bound="LinearCombination")
+
+
+class LinearCombination:
+    """Finite sum of basis keys with nonzero scalar coefficients.
+
+    ``terms`` maps each key to its coefficient and never holds a zero.
+    Subclasses fix what the keys are (generators, PBW monomials, exponent
+    pairs) and how the sum prints; the vector-space operations live here.
+    Values of different subclasses never compare equal.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Hashable, Scalar] | None = None):
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
+
+    @classmethod
+    def zero(cls: type[Combination]) -> Combination:
+        return cls()
+
+    @classmethod
+    def single(
+        cls: type[Combination], key: Hashable, coeff: Scalar = ONE
+    ) -> Combination:
+        return cls({key: coeff})
+
+    @classmethod
+    def combine(
+        cls: type[Combination], pairs: Iterable[Tuple[Scalar, "LinearCombination"]]
+    ) -> Combination:
+        """``sum coeff * vector`` over ``(coeff, vector)`` pairs, in one dict."""
+        out: Dict[Hashable, Scalar] = {}
+        for coeff, vector in pairs:
+            if coeff:
+                for key, c in vector.terms.items():
+                    accumulate(out, key, c * coeff)
+        return cls(out)
+
+    # A zero left in ``out`` by one merge is dropped by the constructor;
+    # the surviving keys keep the order ``accumulate`` would give them.
+    def __add__(self: Combination, other: Combination) -> Combination:
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, ZERO) + c
+        return type(self)(out)
+
+    def __sub__(self: Combination, other: Combination) -> Combination:
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, ZERO) - c
+        return type(self)(out)
+
+    def __neg__(self: Combination) -> Combination:
+        return type(self)({key: -c for key, c in self.terms.items()})
+
+    def scale(self: Combination, coeff: Scalar) -> Combination:
+        if not coeff:
+            return type(self)()
+        return type(self)({key: c * coeff for key, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"

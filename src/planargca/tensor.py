@@ -225,9 +225,6 @@ class TensorVector:
     def is_zero(self) -> bool:
         return not self.pairs
 
-    def polynomial_parts(self) -> List[Poly]:
-        return [p for p, _ in self.pairs]
-
     def x_degree(self) -> int:
         return max((p.x_degree() for p, _ in self.pairs), default=-1)
 

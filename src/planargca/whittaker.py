@@ -9,7 +9,9 @@ forced to vanish; ``validate_whittaker`` rejects anything else.
 
 The induced cyclic module has a PBW basis of monomials in the remaining
 ("free") generators, L_k/H_k with k < m and I_k/J_k with k < n, applied to
-the cyclic vector.  ``whittaker_act`` computes a generator action by
+the cyclic vector; a ``ModuleVector`` is a ``LinearCombination`` of these
+monomials, and images are summed term by term with the shared
+``accumulate``.  ``whittaker_act`` computes a generator action by
 recursion on the first factor: writing a basis monomial as ``x u``, a free
 ``g`` sorting at or before ``x`` is prepended, a central ``g`` (or any
 ``g`` meeting the cyclic vector itself) evaluates to its psi-value, and
@@ -53,7 +55,14 @@ from .algebra import (
 )
 from .linalg import Matrix, SparseEchelon, matrix_solve
 from .pbw import MONOMIAL_ONE, PBWMonomial
-from .scalars import ONE, ZERO, Scalar, parse_scalar
+from .scalars import (
+    ONE,
+    ZERO,
+    LinearCombination,
+    Scalar,
+    accumulate,
+    parse_scalar,
+)
 
 __all__ = [
     "DerivedAlgebraViolation",
@@ -210,63 +219,21 @@ def validate_whittaker(values: RawValues, m: int, n: int) -> WhittakerDatum:
     return WhittakerDatum(m, n, normalized)
 
 
-class ModuleVector:
+class ModuleVector(LinearCombination):
     """Element of the induced module: free PBW monomials applied to the
     cyclic vector, with scalar coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[PBWMonomial, Scalar] | None = None):
-        self.terms = {mono: c for mono, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def zero() -> "ModuleVector":
-        return ModuleVector()
+    __slots__ = ()
 
     @staticmethod
     def cyclic(coeff: Scalar = ONE) -> "ModuleVector":
         return ModuleVector({MONOMIAL_ONE: coeff})
-
-    @staticmethod
-    def single(mono: PBWMonomial, coeff: Scalar = ONE) -> "ModuleVector":
-        return ModuleVector({mono: coeff})
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, ZERO) + coeff
-        return ModuleVector(out)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, ZERO) - coeff
-        return ModuleVector(out)
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector({m: -c for m, c in self.terms.items()})
-
-    def scale(self, coeff: Scalar) -> "ModuleVector":
-        if not coeff:
-            return ModuleVector()
-        return ModuleVector({m: c * coeff for m, c in self.terms.items()})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         keys = sorted(self.terms, key=lambda m: (m.length(), str(m)))
         return " + ".join(f"({self.terms[m]})*{m}.w" for m in keys)
-
-    def __repr__(self) -> str:
-        return f"ModuleVector({str(self)})"
 
     def to_json(self) -> Dict[str, str]:
         keys = sorted(self.terms, key=lambda m: (m.length(), str(m)))
@@ -283,14 +250,6 @@ class ModuleVector:
 
 
 Image = Dict[PBWMonomial, Scalar]
-
-
-def _accumulate(out: Image, mono: PBWMonomial, coeff: Scalar) -> None:
-    updated = out.get(mono, ZERO) + coeff
-    if updated:
-        out[mono] = updated
-    else:
-        out.pop(mono, None)
 
 
 def _prepend(g: Generator, mono: PBWMonomial) -> PBWMonomial:
@@ -380,20 +339,20 @@ class _LeftAction:
             if found is None:
                 found = yield (x, term)
             for result, factor in found.items():
-                _accumulate(out, result, coeff * factor)
+                accumulate(out, result, coeff * factor)
         for h, coeff in bracket_basis(g, x).terms.items():
             found = memo.get((h, rest))
             if found is None:
                 found = yield (h, rest)
             for result, factor in found.items():
-                _accumulate(out, result, coeff * factor)
+                accumulate(out, result, coeff * factor)
         return out
 
     def _apply(self, g: Generator, terms: Image, out: Image) -> Image:
         """Accumulate ``g`` applied to free-basis ``terms`` into ``out``."""
         for mono, coeff in terms.items():
             for term, factor in self.image(g, mono).items():
-                _accumulate(out, term, coeff * factor)
+                accumulate(out, term, coeff * factor)
         return out
 
     def _normal_form(self, mono: PBWMonomial, coeff: Scalar) -> Image:
@@ -940,11 +899,11 @@ def solve_twist(datum: WhittakerDatum) -> TwistResult:
     coeff_a = solution[:size]
     coeff_b = solution[size:]
 
-    element = Element.zero()
-    for s in range(size):
-        element = element + Element(
-            {I(-s - 1): -coeff_a[s], J(-s - 1): -coeff_b[s]}
-        )
+    element = Element.combine(
+        (-coeffs[s], Element.single(family(-s - 1)))
+        for s in range(size)
+        for family, coeffs in ((I, coeff_a), (J, coeff_b))
+    )
     translation = IJTranslation(element)
 
     twisted_values: Dict[Generator, Scalar] = {}

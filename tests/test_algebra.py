@@ -16,7 +16,6 @@ from planargca.algebra import (
     InvalidTranslation,
     J,
     L,
-    apply_translation,
     bracket,
     bracket_basis,
     gen_str,

@@ -314,3 +314,45 @@ def test_non_boolean_closure_flags_rejected(tmp_path, capsys, random_seeds, expe
     code, _, _ = run(tmp_path, "verify-omega", config)
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"xexp": 1.9, "yexp": True, "coeff": "1"},
+        {"xexp": 1.0, "yexp": 0, "coeff": "1"},
+        {"xexp": 1, "yexp": False, "coeff": "1"},
+        {"xexp": "1", "yexp": 0, "coeff": "1"},
+        {"xexp": 0, "yexp": None, "coeff": "1"},
+    ],
+)
+def test_non_integer_polynomial_exponent_rejected(tmp_path, capsys, record):
+    config = {
+        "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "0",
+                 "sigma": [record]},
+        "index_bound": 1,
+        "basis_cap": 1,
+    }
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert "spec.sigma: malformed polynomial" in err
+    assert "must be an integer" in err
+
+
+def test_non_integer_closure_seed_exponent_rejected(tmp_path, capsys):
+    config = {
+        "spec": {"variant": "delta_only", "lambda": "2",
+                 "delta": [{"xexp": 1, "yexp": 0, "coeff": "1"}]},
+        "index_bound": 1,
+        "basis_cap": 1,
+        "closure": {
+            "index_bound": 1,
+            "degree_cap": 2,
+            "seeds": [[{"xexp": 0, "yexp": 1.5, "coeff": "1"}]],
+        },
+    }
+    code, _, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert "yexp must be an integer" in capsys.readouterr().err

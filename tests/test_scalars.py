@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planargca.scalars import (
     IMAG,
     ONE,
     ZERO,
+    Scalar,
     ZeroToNegativePower,
     parse_scalar,
     sc,
@@ -116,3 +119,39 @@ def test_fast_fraction_paths_match_stock_operators():
     product = left * right
     assert product.re == Fraction(1, 2) * Fraction(3, 4) + Fraction(2, 3) * Fraction(5, 6)
     assert product.im == Fraction(1, 2) * Fraction(5, 6) - Fraction(2, 3) * Fraction(3, 4)
+
+
+# -- eq/hash consistency and the string round trip (hypothesis) ---------------
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_gaussian = st.builds(Scalar, _fractions, _fractions)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(-20, 20).map(Fraction), _fractions),
+    st.one_of(st.just(Fraction(0)), _fractions),
+)
+def test_equal_values_hash_equally(re_part, im_part):
+    # One value in every form it can take: Scalar built directly or by
+    # arithmetic, and for real values the Fraction and, if whole, the int.
+    forms = [Scalar(re_part, im_part), Scalar(re_part) + Scalar(0, im_part)]
+    if not im_part:
+        forms += [re_part, Scalar(re_part)]
+        if re_part.denominator == 1:
+            forms += [int(re_part), Scalar(int(re_part))]
+    for x in forms:
+        for y in forms:
+            assert x == y
+            assert hash(x) == hash(y)
+    assert len(set(forms)) == 1
+
+
+def test_scalar_one_and_int_one_collapse_in_a_set():
+    assert len({Scalar(1), 1, Fraction(1)}) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gaussian)
+def test_parse_inverts_str(x):
+    assert parse_scalar(str(x)) == x
