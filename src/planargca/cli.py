@@ -95,6 +95,12 @@ def _boolean(value: Any, where: str) -> bool:
     return value
 
 
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return dict(value)
+
+
 def _scalar(value: Any, where: str):
     try:
         return parse_scalar(str(value))
@@ -143,8 +149,8 @@ def _whittaker(config: dict, where: str):
     _expect_keys(config, {"m", "n", "values"}, {"centrals"}, where)
     m = _integer(config["m"], f"{where}.m")
     n = _integer(config["n"], f"{where}.n")
-    values = dict(config["values"])
-    values.update(config.get("centrals", {}))
+    values = _object(config["values"], f"{where}.values")
+    values |= _object(config.get("centrals", {}), f"{where}.centrals")
     try:
         return validate_whittaker(values, m, n)
     except ValueError as exc:
@@ -421,12 +427,20 @@ def _run_tensor_probe(config: dict, rng: random.Random) -> List[dict]:
     module = _restricted(config["restricted"], "restricted")
     seed = _tensor_vector(module, config["seed_pairs"], "seed_pairs")
     bound = _positive_int(config["monomial_bound"], "monomial_bound")
+    if "expect_reached" in config:
+        _boolean(config["expect_reached"], "expect_reached")
+    if config.get("expect_j_witness", "locally_finite") not in (
+        "locally_finite",
+        "injective_tail",
+    ):
+        raise ConfigError(
+            'expect_j_witness must be "locally_finite" or "injective_tail"'
+        )
     probe = tensor_closure_probe(spec, module, seed, bound)
     label = j_nilpotency_witness(spec, module, seed)
     ok = True
     if "expect_reached" in config:
-        expect_reached = _boolean(config["expect_reached"], "expect_reached")
-        ok = ok and probe.reached_one_tensor == expect_reached
+        ok = ok and probe.reached_one_tensor == config["expect_reached"]
     if "expect_j_witness" in config:
         ok = ok and label == config["expect_j_witness"]
     return [

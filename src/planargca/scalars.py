@@ -1,10 +1,12 @@
 """Exact Gaussian-rational scalars.
 
-A scalar is a complex number ``a + b*i`` whose real and imaginary parts are
-arbitrary-precision rationals (``fractions.Fraction``).  Everything downstream
-of this module is exact: equality tests are decisive and every identity is
-checked at tolerance zero.  ``Fraction`` keeps values in lowest terms with a
-positive denominator, so no extra normalisation pass is needed.
+A scalar is a complex number ``(a + b*i)/d`` held as three integers.  The
+triple is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values
+have equal fields and every operation brings its result to lowest terms
+with one three-way gcd.  Everything downstream of this module is exact:
+equality tests are decisive and every identity is checked at tolerance
+zero.  The parts of a scalar are built from ``int`` or ``Fraction`` values
+only; floats and strings are refused (``parse_scalar`` reads text).
 
 The string form is ``a/b+c/d*i`` with zero parts omitted and the ``/b``
 suppressed for integers, e.g. ``"3"``, ``"-1/2"``, ``"2*i"``, ``"1/2-3/4*i"``.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, Tuple, TypeVar, Union
 
 __all__ = [
@@ -40,130 +42,79 @@ class ZeroToNegativePower(ArithmeticError):
 Rationalish = Union[int, Fraction]
 
 
-# Rational arithmetic is the innermost loop of every probe, and the stock
-# Fraction operators on older interpreters renormalize from scratch on each
-# call.  When the private coprime layout is available we do the standard
-# two-gcd multiplication and Knuth-style addition ourselves and build the
-# results without re-reducing; otherwise we fall back to the plain
-# operators.  Results are identical either way.
-_HAS_COPRIME_LAYOUT = hasattr(Fraction(1), "_numerator")
-
-if _HAS_COPRIME_LAYOUT:
-
-    def _fraction_raw(num: int, den: int) -> Fraction:
-        out = Fraction.__new__(Fraction)
-        out._numerator = num
-        out._denominator = den
-        return out
-
-    def _fmul(a: Fraction, b: Fraction) -> Fraction:
-        na, da = a._numerator, a._denominator
-        nb, db = b._numerator, b._denominator
-        g1 = gcd(na, db)
-        if g1 > 1:
-            na //= g1
-            db //= g1
-        g2 = gcd(nb, da)
-        if g2 > 1:
-            nb //= g2
-            da //= g2
-        return _fraction_raw(na * nb, da * db)
-
-    def _fadd(a: Fraction, b: Fraction) -> Fraction:
-        na, da = a._numerator, a._denominator
-        nb, db = b._numerator, b._denominator
-        g = gcd(da, db)
-        if g == 1:
-            return _fraction_raw(na * db + da * nb, da * db)
-        s = da // g
-        t = na * (db // g) + nb * s
-        g2 = gcd(t, g)
-        if g2 == 1:
-            return _fraction_raw(t, s * db)
-        return _fraction_raw(t // g2, s * (db // g2))
-
-    def _fsub(a: Fraction, b: Fraction) -> Fraction:
-        return _fadd(a, _fraction_raw(-b._numerator, b._denominator))
-
-else:  # pragma: no cover - exercised only on exotic interpreters
-
-    def _fmul(a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def _fadd(a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def _fsub(a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-
-_F_ZERO = Fraction(0)
-
-
 class Scalar:
-    """Gaussian rational ``re + im*i`` with exact ``Fraction`` parts.
+    """Gaussian rational ``(a + b*i)/d`` in lowest terms.
 
-    Instances are immutable by convention (nothing in this package mutates
-    them after construction) and hashable, so they can serve as coefficients
-    in sparse maps.
+    ``re`` and ``im`` give the parts as ``Fraction``.  Instances are
+    immutable by convention (nothing in this package mutates them after
+    construction) and hashable, so they can serve as coefficients in
+    sparse maps.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(
+                    f"scalar parts must be int or Fraction, not {part!r}"
+                )
+        # Both parts are in lowest terms, so over their least common
+        # denominator the triple is already canonical.
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "Scalar":
-        """Internal constructor for parts that are already Fractions."""
-        self = object.__new__(cls)
-        self.re = re
-        self.im = im
-        return self
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- ring / field structure -------------------------------------------
 
     def __add__(self, other: "Scalar | Rationalish") -> "Scalar":
         other = _coerce(other)
-        return Scalar._raw(
-            _fadd(self.re, other.re), _fadd(self.im, other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(
+            self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
         )
 
     __radd__ = __add__
 
     def __sub__(self, other: "Scalar | Rationalish") -> "Scalar":
         other = _coerce(other)
-        return Scalar._raw(
-            _fsub(self.re, other.re), _fsub(self.im, other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(
+            self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2
         )
 
     def __rsub__(self, other: "Scalar | Rationalish") -> "Scalar":
         return _coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar._raw(-self.re, -self.im)
+        return _canonical(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "Scalar | Rationalish") -> "Scalar":
         other = _coerce(other)
-        # Most values in practice are purely rational; skip the complex
-        # cross terms when the imaginary parts vanish.
-        if not self.im and not other.im:
-            return Scalar._raw(_fmul(self.re, other.re), _F_ZERO)
-        return Scalar._raw(
-            _fsub(_fmul(self.re, other.re), _fmul(self.im, other.im)),
-            _fadd(_fmul(self.re, other.im), _fmul(self.im, other.re)),
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self:
+        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        if not (a or b):
             raise ZeroDivisionError("zero scalar has no inverse")
-        if not self.im:
-            return Scalar._raw(1 / self.re, self.im)
-        norm = self.re * self.re + self.im * self.im
-        return Scalar._raw(self.re / norm, -self.im / norm)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: "Scalar | Rationalish") -> "Scalar":
         return self * _coerce(other).inverse()
@@ -175,7 +126,7 @@ class Scalar:
         return scalar_pow(self, exponent)
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _canonical(self.a, -self.b, self.d)
 
     # -- comparisons and bookkeeping --------------------------------------
 
@@ -184,40 +135,54 @@ class Scalar:
             other = Scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
         # Equal values hash equally: a real scalar equals its Fraction.
-        if not self.im:
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __str__(self) -> str:
         if not self:
             return "0"
         parts = []
-        if self.re:
+        if self.a:
             parts.append(str(self.re))
-        if self.im:
-            imag = f"{self.im}*i"
-            if parts and self.im > 0:
+        if self.b:
+            if parts and self.b > 0:
                 parts.append("+")
-            parts.append(imag)
+            parts.append(f"{self.im}*i")
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
 
 
+def _canonical(a: int, b: int, d: int) -> Scalar:
+    """Build ``(a + b*i)/d`` from a triple that is already canonical."""
+    out = object.__new__(Scalar)
+    out.a = a
+    out.b = b
+    out.d = d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """Build ``(a + b*i)/d`` for ``d > 0``, dividing out ``gcd(a, b, d)``."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _canonical(a, b, d)
+    return _canonical(a // g, b // g, d // g)
+
+
 def _coerce(value: "Scalar | Rationalish") -> Scalar:
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar(value)
-    raise TypeError(f"cannot interpret {value!r} as a scalar")
+    return Scalar(value)
 
 
 ZERO = Scalar(0)

@@ -356,3 +356,32 @@ def test_non_integer_closure_seed_exponent_rejected(tmp_path, capsys):
     code, _, _ = run(tmp_path, "verify-omega", config)
     assert code == 2
     assert "yexp must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("values", [1, 2]), ("values", "ab"), ("centrals", [["c1", "1"]])],
+)
+def test_non_object_whittaker_values_rejected(tmp_path, capsys, key, value):
+    config = {"m": 1, "n": 1, "values": {"I[1]": "1", "J[1]": "1"}, "weight_bound": 2}
+    config[key] = value
+    code, report, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 2
+    assert report is None
+    assert f"config.{key} must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["locally-finite", "Injective_tail", 1, None, ["locally_finite"]])
+def test_unknown_expect_j_witness_rejected(tmp_path, capsys, value):
+    config = {
+        "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "0",
+                 "sigma": [{"xexp": 0, "yexp": 0, "coeff": "1"}]},
+        "restricted": {"kind": "trivial"},
+        "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "1"}], "vector": "1"}],
+        "monomial_bound": 2,
+        "expect_j_witness": value,
+    }
+    code, report, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 2
+    assert report is None
+    assert 'expect_j_witness must be "locally_finite" or' in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -155,3 +157,112 @@ def test_scalar_one_and_int_one_collapse_in_a_set():
 @given(_gaussian)
 def test_parse_inverts_str(x):
     assert parse_scalar(str(x)) == x
+
+
+# -- the integer-triple kernel against textbook Fraction formulas ---------------
+
+_parts = st.fractions(min_value=-200, max_value=200, max_denominator=60)
+_mixed = st.one_of(
+    st.builds(lambda re, im: (re, im), _parts, _parts),
+    _parts.map(lambda re: (re, Fraction(0))),
+    _parts.map(lambda im: (Fraction(0), im)),
+)
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def ref_pow(x, exponent):
+    if exponent < 0:
+        x, exponent = ref_inverse(x), -exponent
+    out = (Fraction(1), Fraction(0))
+    for _ in range(exponent):
+        out = ref_mul(out, x)
+    return out
+
+
+def assert_matches(value, pair):
+    assert isinstance(value, Scalar)
+    assert (value.re, value.im) == pair
+    assert value.d > 0
+    assert math.gcd(value.a, value.b, value.d) == 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_mixed, _mixed, st.integers(-4, 4))
+def test_kernel_matches_fraction_pairs(x, y, exponent):
+    sx, sy = Scalar(*x), Scalar(*y)
+    assert_matches(sx, x)
+    assert_matches(sx + sy, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(sx - sy, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(-sx, (-x[0], -x[1]))
+    assert_matches(sx * sy, ref_mul(x, y))
+    assert_matches(sx.conjugate(), (x[0], -x[1]))
+    if any(y):
+        assert_matches(sy.inverse(), ref_inverse(y))
+        assert_matches(sx / sy, ref_mul(x, ref_inverse(y)))
+    if any(x) or exponent >= 0:
+        assert_matches(scalar_pow(sx, exponent), ref_pow(x, exponent))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mixed, _mixed)
+def test_equal_values_by_different_routes_agree(x, y):
+    direct = Scalar(*x)
+    sy = Scalar(*y)
+    routes = [
+        direct,
+        (direct + sy) - sy,
+        sy + direct - sy,
+        -(-direct),
+        direct.conjugate().conjugate(),
+        Scalar(x[0]) + Scalar(0, x[1]),
+        Scalar(x[0]) + Scalar(x[1]) * IMAG,
+        parse_scalar(str(direct)),
+    ]
+    if any(y):
+        routes += [direct * sy / sy, (direct / sy) * sy]
+    for route in routes:
+        assert route == direct
+        assert (route.a, route.b, route.d) == (direct.a, direct.b, direct.d)
+        assert str(route) == str(direct)
+        assert hash(route) == hash(direct)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(0.1,), ("1/3",), (1, 0.5), (1, "2"), (Decimal(1),), (1.0,), (None,), (ONE,)],
+)
+def test_constructor_refuses_non_rational_parts(parts):
+    with pytest.raises(TypeError):
+        Scalar(*parts)
+    with pytest.raises(TypeError):
+        sc(*parts)
+
+
+@pytest.mark.parametrize("other", [0.5, "1", Decimal(2)])
+def test_arithmetic_refuses_floats_and_strings(other):
+    for operation in (
+        lambda: ONE + other,
+        lambda: other + ONE,
+        lambda: ONE - other,
+        lambda: ONE * other,
+        lambda: ONE / other,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_parts_are_read_only():
+    value = sc(Fraction(1, 2), 3)
+    with pytest.raises(AttributeError):
+        value.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        value.im = Fraction(1)
+    assert (value.re, value.im) == (Fraction(1, 2), Fraction(3))
