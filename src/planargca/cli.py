@@ -255,6 +255,9 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
             _poly(record, f"closure.seeds[{i}]")
             for i, record in enumerate(closure.get("seeds", []))
         ]
+        for i, seed_poly in enumerate(seeds):
+            if not seed_poly:
+                raise ConfigError(f"closure.seeds[{i}] must be nonzero")
         random_cfg = closure.get("random_seeds")
         if random_cfg is not None:
             _expect_keys(
@@ -426,6 +429,8 @@ def _run_tensor_probe(config: dict, rng: random.Random) -> List[dict]:
     spec = _omega_spec(config["spec"], "spec")
     module = _restricted(config["restricted"], "restricted")
     seed = _tensor_vector(module, config["seed_pairs"], "seed_pairs")
+    if seed.is_zero():
+        raise ConfigError("seed_pairs must give a nonzero tensor")
     bound = _positive_int(config["monomial_bound"], "monomial_bound")
     if "expect_reached" in config:
         _boolean(config["expect_reached"], "expect_reached")

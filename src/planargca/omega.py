@@ -46,6 +46,7 @@ __all__ = [
     "InvalidSpec",
     "OmegaSpec",
     "omega_act",
+    "degree_raise",
     "OmegaAxiomReport",
     "verify_omega_axioms",
     "ClosureReport",
@@ -128,6 +129,26 @@ def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
             return P_ZERO
         return (spec.sigma * f.shift(ONE, Scalar(-m))).scale(lam_m)
     raise AssertionError(f"unhandled generator {g}")
+
+
+def degree_raise(spec: OmegaSpec, g: Generator) -> Optional[int]:
+    """Exact rise in total degree when ``g`` acts on a nonzero polynomial.
+
+    ``None`` when ``g`` acts as zero.  Every action above is a shift, which
+    keeps the top homogeneous part, times a fixed nonzero multiplier, and
+    the polynomial ring is a domain, so the rise is the multiplier's degree.
+    """
+    if g.is_central:
+        return None
+    if g.family == "H":
+        return 1
+    if g.family == "L":
+        if spec.variant == "delta_only" and g.index:
+            return max(1, spec.delta.total_degree())
+        return 1
+    if (g.family, spec.variant) in (("I", "sigma_zero"), ("J", "zero_sigma")):
+        return spec.sigma.total_degree()
+    return None
 
 
 class CachedAction:
@@ -254,7 +275,9 @@ def submodule_closure_probe(
     Vectors whose total degree exceeds the cap are discarded (counted as
     truncated directions, not errors), so the reported span is a subspace
     of the true orbit span.  The probe iterates to a fixed point and reports
-    whether the constant polynomial 1 lies in the span.
+    whether the constant polynomial 1 lies in the span.  Image degrees are
+    predicted by ``degree_raise`` before acting, so images over the cap and
+    zero images are never computed.
     """
     if not seed:
         raise ValueError("seed must be nonzero")
@@ -273,6 +296,7 @@ def submodule_closure_probe(
         return {column_of[mono]: coeff for mono, coeff in p.terms.items()}
 
     action = CachedAction(spec)
+    raises = {g: degree_raise(spec, g) for g in generators}
     truncated = 0
     queue: List[Poly] = [seed]
     basis.insert(to_row(seed))
@@ -287,13 +311,15 @@ def submodule_closure_probe(
     )
     while queue and (saturated is None or basis.dimension < saturated):
         current = queue.pop(0)
+        degree = current.total_degree()
         for g in generators:
-            image = action.act(g, current)
-            if not image:
+            rise = raises[g]
+            if rise is None:
                 continue
-            if image.total_degree() > degree_cap:
+            if degree + rise > degree_cap:
                 truncated += 1
                 continue
+            image = action.act(g, current)
             row = to_row(image)
             if basis.insert(row):
                 queue.append(image)

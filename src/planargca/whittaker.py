@@ -25,6 +25,12 @@ Images are memoized on (generator, monomial) within one scope: a single
 whose memo also serves the spot check above the index bound and is dropped
 before the next column.
 
+The action itself is always exact.  Only the singular-vector search
+prunes: for each basis column it skips the operators above the column's
+``annihilation_bound``, whose shifted images the index grading proves zero.
+Skipping rows can only enlarge the kernel, so ``found: false`` stays a
+certificate, and any witness is re-verified against every operator.
+
 Degree bookkeeping uses exponent vectors written highest index first, so a
 block of length l reads (e_{l-1}, ..., e_1, e_0).  The weight of such a
 vector is sum_k (l - k) * e_k; the reverse lexicographic order compares
@@ -738,6 +744,14 @@ def singular_vector_search(
     time on three higher indices per family).  The returned witness, if
     any, is normalized so its first coefficient in column order is 1 and
     contains no component along the cyclic vector.
+
+    A column's rows skip every operator above its ``annihilation_bound``:
+    that operator kills the column and psi vanishes there (the bound is at
+    least max(2m, m+n-1)), so the skipped images are zero and the system is
+    unchanged.  Were the bound ever unsound, dropping rows could only
+    enlarge the kernel: ``found: false`` would still be a certificate, and
+    a witness would still fail its re-verification against all operators,
+    which, like the spot check, uses the unpruned action.
     """
     index_max = 2 * datum.m + 2 * datum.n + weight_bound + 2
     enumerated = _monomials_up_to_weight(datum, weight_bound)
@@ -755,13 +769,17 @@ def singular_vector_search(
 
     # Rows are indexed by (operator, output monomial); outputs always stay
     # within the enumerated weight range plus the empty monomial.  Each
-    # column gets its own memo, dropped before the next one.
+    # column gets its own memo, dropped before the next one, and skips the
+    # operators above its annihilation bound (see the docstring).
     rows: Dict[Tuple[str, str], Dict[int, Scalar]] = {}
     spot_ok = True
     for col, (mono, _) in enumerate(columns):
         action = _LeftAction(datum)
         base = ModuleVector.single(mono)
+        bound = annihilation_bound(datum, base)
         for op in operators:
+            if op.index > bound:
+                continue
             shifted = action.shifted(op, base)
             for out_mono, coeff in shifted.terms.items():
                 key = (gen_str(op), str(out_mono))

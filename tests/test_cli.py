@@ -385,3 +385,49 @@ def test_unknown_expect_j_witness_rejected(tmp_path, capsys, value):
     assert code == 2
     assert report is None
     assert 'expect_j_witness must be "locally_finite" or' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "restricted, pairs",
+    [
+        ({"kind": "trivial"},
+         [{"poly": [{"xexp": 0, "yexp": 0, "coeff": "1"}], "vector": "0"}]),
+        ({"kind": "trivial"},
+         [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "0"}], "vector": "1"}]),
+        ({"kind": "whittaker", "m": 1, "n": 1, "values": {"I[1]": "1", "J[1]": "1"}},
+         [{"poly": [{"xexp": 0, "yexp": 0, "coeff": "1"}], "vector": {"I[0]": "0"}}]),
+    ],
+)
+def test_zero_tensor_seed_rejected(tmp_path, capsys, restricted, pairs):
+    config = {
+        "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "0",
+                 "sigma": [{"xexp": 0, "yexp": 0, "coeff": "1"}]},
+        "restricted": restricted,
+        "seed_pairs": pairs,
+        "monomial_bound": 2,
+    }
+    code, report, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 2
+    assert report is None
+    assert "seed_pairs must give a nonzero tensor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "seed", [[{"xexp": 0, "yexp": 0, "coeff": "0"}], []]
+)
+def test_zero_closure_seed_rejected(tmp_path, capsys, seed):
+    config = {
+        "spec": {"variant": "delta_only", "lambda": "2",
+                 "delta": [{"xexp": 1, "yexp": 0, "coeff": "1"}]},
+        "index_bound": 1,
+        "basis_cap": 1,
+        "closure": {
+            "index_bound": 1,
+            "degree_cap": 2,
+            "seeds": [[{"xexp": 1, "yexp": 0, "coeff": "1"}], seed],
+        },
+    }
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert report is None
+    assert "closure.seeds[1] must be nonzero" in capsys.readouterr().err

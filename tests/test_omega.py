@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from planargca.algebra import C1, Generator, H, I, J, L
+from planargca.algebra import C1, CENTRALS, Generator, H, I, J, L
 from planargca.omega import (
     CachedAction,
     InvalidSpec,
     OmegaSpec,
+    degree_raise,
     omega_act,
     submodule_closure_probe,
     verify_omega_axioms,
@@ -145,6 +146,53 @@ def test_cached_action_matches_direct():
         f = random_poly(rng, 3)
         g = Generator("LHIJ"[rng.randrange(4)], rng.randint(-3, 3))
         assert action.act(g, f) == omega_act(spec, g, f)
+
+
+SIGMA_X2 = X * X + P_ONE
+
+RAISE_SPECS = [
+    sigma_zero(),
+    sigma_zero(eta=sc(1, 2), sigma=SIGMA_X2),
+    zero_sigma(lam=sc(3), sigma=X),
+    zero_sigma(lam=sc(1, 1), eta=sc(-2), sigma=SIGMA_X2),
+    delta_only(),
+    delta_only(lam=sc(-1), delta=X * X),
+    delta_only(delta=SIGMA_X2.scale(sc(0, 1))),
+    delta_only(delta=P_ZERO),
+]
+
+
+@pytest.mark.parametrize("spec", RAISE_SPECS)
+def test_degree_raise_matches_action(spec):
+    gens = [Generator(fam, idx) for fam in "LHIJ" for idx in range(-4, 5)]
+    gens += list(CENTRALS)
+    rng = random.Random(31)
+    polys = [random_poly(rng, 4) for _ in range(6)] + [P_ONE]
+    for g in gens:
+        rise = degree_raise(spec, g)
+        for f in polys:
+            image = omega_act(spec, g, f)
+            if rise is None:
+                assert not image, (g, f)
+            else:
+                assert image.total_degree() == f.total_degree() + rise, (g, f)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, dimension, truncated, contains_one",
+    [
+        (sigma_zero(), X * Y + P_ONE, 19, 60, True),
+        (zero_sigma(lam=sc(3), eta=sc(1, 2), sigma=SIGMA_X2), SIGMA_X2 * Y, 9, 80, False),
+        (delta_only(delta=X * X), Y * Y + X, 16, 80, False),
+    ],
+)
+def test_closure_counts_truncated_images(spec, seed, dimension, truncated, contains_one):
+    # Counts from computing every image and testing its degree afterwards;
+    # predicting the degree first must count the same nonzero images.
+    probe = submodule_closure_probe(spec, seed, 2, 5)
+    assert (probe.dimension, probe.truncated, probe.contains_one) == (
+        dimension, truncated, contains_one
+    )
 
 
 def test_closure_reaches_one_for_constant_sigma():

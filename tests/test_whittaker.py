@@ -18,6 +18,7 @@ from planargca.algebra import (
     bracket_basis,
     gen_key,
 )
+from planargca import whittaker
 from planargca.pbw import PBWMonomial
 from planargca.sampling import random_block_vector
 from planargca.scalars import ONE, ZERO, Scalar, sc
@@ -344,6 +345,59 @@ def test_action_on_long_monomial_closed_form():
     assert whittaker_act(datum, L(2), vec((mono((L(0), k)), ONE))) == expected
 
 
+BOUND_SHAPES = ((1, 1), (1, 2), (2, 2), (3, 1), (2, 1))
+
+
+@st.composite
+def bound_cases(draw):
+    """A datum and a 1-3 term vector of free monomials.
+
+    Free factors reach up to four below their family's threshold, so the
+    monomials mix positive-index factors (``L[1]`` at m = 3) with
+    negative-index ones.
+    """
+    m, n = draw(st.sampled_from(BOUND_SHAPES))
+    scalars = gaussian(draw(st.booleans()))
+    values = {}
+    for fam, low, high in (
+        ("L", m, 2 * m),
+        ("H", m, 2 * m - 1),
+        ("I", n, m + n - 1),
+        ("J", n, m + n - 1),
+    ):
+        for index in range(low, high + 1):
+            values[Generator(fam, index)] = draw(scalars)
+    for central in CENTRALS:
+        values[central] = draw(scalars)
+    datum = validate_whittaker(values, m, n)
+    free_gens = st.builds(
+        lambda f, depth: Generator(f, (m if f in "LH" else n) - depth),
+        st.sampled_from("LHIJ"),
+        st.integers(1, 4),
+    )
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.lists(free_gens, min_size=1, max_size=4))
+        mono = PBWMonomial.from_word(sorted(word, key=gen_key))
+        terms[mono] = draw(scalars.filter(bool))
+    return datum, ModuleVector(terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(bound_cases())
+def test_annihilation_bound_is_sound(case):
+    # The search prunes every operator above this bound, so it must hold
+    # for the independent worklist action, not only for whittaker_act.
+    datum, v = case
+    bound = annihilation_bound(datum, v)
+    for fam in "LHIJ":
+        for index in range(bound + 1, bound + 5):
+            g = Generator(fam, index)
+            assert reference_act(datum, g, v) == ModuleVector.zero(), (
+                datum, g, str(v)
+            )
+
+
 # -- weights and orders ---------------------------------------------------------
 
 
@@ -560,6 +614,43 @@ def test_search_witness_annihilated_by_shifted_generators():
         for idx in range(start, start + 6):
             g = Generator(fam, idx)
             assert act_shifted(datum, g, report.witness) == ModuleVector.zero()
+
+
+PRUNING_DATA = [
+    (1, 1, {"I[1]": "1", "J[1]": "1"}),
+    (1, 2, {"I[2]": "3", "J[2]": "2"}),
+    (2, 2, {"I[3]": "1", "J[3]": "1", "L[2]": "1/2", "H[3]": "-1"}),
+    (3, 1, {"I[3]": "1", "J[3]": "1", "L[6]": "2", "c1": "1/3"}),
+]
+
+
+@pytest.mark.parametrize("m,n,values", PRUNING_DATA)
+def test_search_pruning_changes_no_report(monkeypatch, m, n, values):
+    datum = validate_whittaker(values, m, n)
+    pruned = singular_vector_search(datum, 4)
+    monkeypatch.setattr(whittaker, "annihilation_bound", lambda d, v: 10**9)
+    assert singular_vector_search(datum, 4) == pruned
+
+
+@pytest.mark.parametrize("m,n,values", PRUNING_DATA)
+def test_search_rejects_witness_from_unsound_pruning(monkeypatch, m, n, values):
+    # Pruning every operator leaves no equations, so the kernel hands back
+    # a column that is no Whittaker vector; re-verification must catch it.
+    datum = validate_whittaker(values, m, n)
+    monkeypatch.setattr(whittaker, "annihilation_bound", lambda d, v: -(10**9))
+    with pytest.raises(AssertionError, match="re-verification"):
+        singular_vector_search(datum, 4)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+def test_search_none_at_weight_six(m, n):
+    # Criterion 4's data, one weight past the acceptance campaigns.
+    top = m + n - 1
+    datum = validate_whittaker({f"I[{top}]": "1", f"J[{top}]": "1"}, m, n)
+    report = singular_vector_search(datum, 6)
+    assert not report.found
+    assert report.witness is None
+    assert report.spot_check_ok
 
 
 # -- the twist -------------------------------------------------------------------
