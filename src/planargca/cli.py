@@ -17,7 +17,7 @@ import random
 import sys
 from typing import Any, List, Optional
 
-from .algebra import L
+from .algebra import L, parse_gen
 from .omega import (
     OmegaSpec,
     submodule_closure_probe,
@@ -150,9 +150,16 @@ def _whittaker(config: dict, where: str):
     m = _integer(config["m"], f"{where}.m")
     n = _integer(config["n"], f"{where}.n")
     values = _object(config["values"], f"{where}.values")
-    values |= _object(config.get("centrals", {}), f"{where}.centrals")
+    centrals = _object(config.get("centrals", {}), f"{where}.centrals")
     try:
-        return validate_whittaker(values, m, n)
+        given = {parse_gen(key) for key in values}
+        for key in centrals:
+            g = parse_gen(key)
+            if not g.is_central:
+                raise ValueError(f"centrals key {key!r} is not c1, c2 or c3")
+            if g in given:
+                raise ValueError(f"{key} is given in both values and centrals")
+        return validate_whittaker(values | centrals, m, n)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -327,17 +334,13 @@ def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
     report = singular_vector_search(datum, bound)
     checks = [
         {
-            "id": "annihilation-spot-check",
-            "ok": report.spot_check_ok,
-            "index_max": report.index_max,
-        },
-        {
             "id": "search",
             "ok": True,
             "found": report.found,
             "witness": report.witness.to_json() if report.witness else None,
             "basis_size": report.basis_size,
             "weight_bound": report.weight_bound,
+            "generating_set": report.operators,
         },
     ]
     if "expect_found" in config:

@@ -22,14 +22,15 @@ on the free PBW basis.  It runs on an explicit stack, so the length of a
 monomial is not limited by Python's recursion limit.
 Images are memoized on (generator, monomial) within one scope: a single
 ``whittaker_act`` call, or one basis column of the singular-vector search,
-whose memo also serves the spot check above the index bound and is dropped
-before the next column.
+whose memo is dropped before the next column.
 
-The action itself is always exact.  Only the singular-vector search
-prunes: for each basis column it skips the operators above the column's
-``annihilation_bound``, whose shifted images the index grading proves zero.
-Skipping rows can only enlarge the kernel, so ``found: false`` stays a
-certificate, and any witness is re-verified against every operator.
+The singular-vector search asks the Whittaker condition only of a finite
+generating set S of the acting subalgebra (4m+1 operators, see
+``_generating_set``): psi kills every bracket inside the subalgebra, so the
+operators acting on a vector by their psi-values form a subalgebra, and S
+generates all of it.  The S-rows therefore have exactly the kernel of the
+rows for every operator.  Any witness is still re-verified against every
+operator up to index 2m + 2n + weight_bound + 2.
 
 Degree bookkeeping uses exponent vectors written highest index first, so a
 block of length l reads (e_{l-1}, ..., e_1, e_0).  The weight of such a
@@ -702,20 +703,16 @@ class SearchReport:
     found: bool
     witness: Optional[ModuleVector]
     weight_bound: int
-    index_max: int
     basis_size: int
-    operators: int
-    spot_check_ok: bool
+    operators: List[str]
 
     def to_json(self) -> dict:
         return {
             "found": self.found,
             "witness": self.witness.to_json() if self.witness else None,
             "weight_bound": self.weight_bound,
-            "index_max": self.index_max,
             "basis_size": self.basis_size,
             "operators": self.operators,
-            "spot_check_ok": self.spot_check_ok,
         }
 
 
@@ -730,63 +727,61 @@ def _search_operators(
     return ops
 
 
+def _generating_set(datum: WhittakerDatum) -> List[Generator]:
+    """L_m..L_2m, H_m..H_2m-1, I_n..I_n+m-1 and J_n..J_n+m-1: 4m+1 operators
+    whose rows have exactly the kernel of the rows of the whole subalgebra b.
+
+    ``validate_whittaker`` enforces psi([b, b]) = 0, so if x and y both act
+    on v by their psi-values, then [x, y] . v = 0 = psi([x, y]) v.  And the
+    set generates b, by induction on the index: [L_m, L_{k-m}] = (k-2m) L_k
+    gives every L_k with k >= 2m+1, [L_m, H_{k-m}] = (k-m) H_k every H_k
+    with k >= 2m, and [H_m, I_{k-m}] = I_k, [H_m, J_{k-m}] = -J_k every I_k
+    and J_k with k >= m+n; the centrals act by psi on the whole module.
+    """
+    m, n = datum.m, datum.n
+    return (
+        [L(p) for p in range(m, 2 * m + 1)]
+        + [H(p) for p in range(m, 2 * m)]
+        + [I(p) for p in range(n, n + m)]
+        + [J(p) for p in range(n, n + m)]
+    )
+
+
 def singular_vector_search(
     datum: WhittakerDatum, weight_bound: int
 ) -> SearchReport:
     """Search for a Whittaker vector independent of the cyclic vector.
 
     Enumerates the finite basis of free monomials up to the weight bound,
-    assembles the exact linear system demanding that every subalgebra
-    generator act by its psi-value, and extracts the kernel vector at the
-    first free column of the reduced system.  Checking generators up to
-    2m + 2n + weight_bound + 2 suffices: anything higher straightens into
-    factors beyond the forced-vanishing thresholds (spot-checked at run
-    time on three higher indices per family).  The returned witness, if
-    any, is normalized so its first coefficient in column order is 1 and
-    contains no component along the cyclic vector.
-
-    A column's rows skip every operator above its ``annihilation_bound``:
-    that operator kills the column and psi vanishes there (the bound is at
-    least max(2m, m+n-1)), so the skipped images are zero and the system is
-    unchanged.  Were the bound ever unsound, dropping rows could only
-    enlarge the kernel: ``found: false`` would still be a certificate, and
-    a witness would still fail its re-verification against all operators,
-    which, like the spot check, uses the unpruned action.
+    assembles the exact linear system demanding that every operator of the
+    generating set (``_generating_set``) act by its psi-value, and extracts
+    the kernel vector at the first free column of the reduced system.  The
+    system has the kernel, hence the reduced form and kernel vector, of the
+    one for every subalgebra operator.  The returned witness, if any, is
+    normalized so its first coefficient in column order is 1 and contains
+    no component along the cyclic vector; it is re-verified, independently
+    of the generating-set argument, against every operator up to index
+    2m + 2n + weight_bound + 2.
     """
-    index_max = 2 * datum.m + 2 * datum.n + weight_bound + 2
     enumerated = _monomials_up_to_weight(datum, weight_bound)
     columns = sorted(
         ((mono, wt) for mono, wt in enumerated),
         key=lambda pair: (pair[1], str(pair[0])),
     )
-    operators = _search_operators(datum, index_max)
-
-    spot_operators = [
-        Generator(fam, index_max + extra)
-        for fam in ("L", "H", "I", "J")
-        for extra in range(1, 4)
-    ]
+    operators = _generating_set(datum)
 
     # Rows are indexed by (operator, output monomial); outputs always stay
     # within the enumerated weight range plus the empty monomial.  Each
-    # column gets its own memo, dropped before the next one, and skips the
-    # operators above its annihilation bound (see the docstring).
+    # column gets its own memo, dropped before the next one.
     rows: Dict[Tuple[str, str], Dict[int, Scalar]] = {}
-    spot_ok = True
     for col, (mono, _) in enumerate(columns):
         action = _LeftAction(datum)
         base = ModuleVector.single(mono)
-        bound = annihilation_bound(datum, base)
         for op in operators:
-            if op.index > bound:
-                continue
             shifted = action.shifted(op, base)
             for out_mono, coeff in shifted.terms.items():
                 key = (gen_str(op), str(out_mono))
                 rows.setdefault(key, {})[col] = coeff
-        for op in spot_operators:
-            if action.shifted(op, base):
-                spot_ok = False
 
     echelon = SparseEchelon(full_reduce=True)
     for key in sorted(rows):
@@ -800,25 +795,19 @@ def singular_vector_search(
         witness = ModuleVector(
             {columns[col][0]: coeff * scale for col, coeff in kernel.items()}
         )
-        for op in operators:
+        index_max = 2 * datum.m + 2 * datum.n + weight_bound + 2
+        for op in _search_operators(datum, index_max):
             if act_shifted(datum, op, witness):
                 raise AssertionError(
                     "kernel vector failed re-verification; this is a bug"
                 )
 
-    if not spot_ok:
-        raise AssertionError(
-            "a generator above the search index bound acted nontrivially"
-        )
-
     return SearchReport(
         found=witness is not None,
         witness=witness,
         weight_bound=weight_bound,
-        index_max=index_max,
         basis_size=len(columns),
-        operators=len(operators),
-        spot_check_ok=spot_ok,
+        operators=[gen_str(op) for op in operators],
     )
 
 

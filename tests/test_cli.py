@@ -431,3 +431,51 @@ def test_zero_closure_seed_rejected(tmp_path, capsys, seed):
     assert code == 2
     assert report is None
     assert "closure.seeds[1] must be nonzero" in capsys.readouterr().err
+
+
+def test_whittaker_search_lists_generating_set(tmp_path):
+    config = {"m": 2, "n": 2, "values": {"I[3]": "1", "J[3]": "1"}, "weight_bound": 2}
+    code, report, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 0
+    assert [check["id"] for check in report["checks"]] == ["search"]
+    assert report["checks"][0]["generating_set"] == [
+        "L[2]", "L[3]", "L[4]", "H[2]", "H[3]", "I[2]", "I[3]", "J[2]", "J[3]"
+    ]
+
+
+@pytest.mark.parametrize(
+    "values, centrals, message",
+    [
+        ({"I[1]": "1", "J[1]": "1"}, {"I[1]": "5"},
+         "centrals key 'I[1]' is not c1, c2 or c3"),
+        ({"I[1]": "1"}, {"J[1]": "1"}, "centrals key 'J[1]' is not c1, c2 or c3"),
+        ({"I[1]": "1", "J[1]": "1", "c1": "2"}, {"c1": "5"},
+         "c1 is given in both values and centrals"),
+        ({"I[1]": "1", "J[1]": "1", "c2": "1"}, {"c2": "1"},
+         "c2 is given in both values and centrals"),
+    ],
+)
+def test_whittaker_centrals_must_be_central_and_unique(
+    tmp_path, capsys, values, centrals, message
+):
+    config = {"m": 1, "n": 1, "values": values, "centrals": centrals, "weight_bound": 2}
+    code, report, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 2
+    assert report is None
+    assert message in capsys.readouterr().err
+
+
+def test_restricted_whittaker_centrals_must_be_central(tmp_path, capsys):
+    config = {
+        "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "0",
+                 "sigma": [{"xexp": 0, "yexp": 0, "coeff": "1"}]},
+        "restricted": {"kind": "whittaker", "m": 1, "n": 1,
+                       "values": {"I[1]": "1", "J[1]": "1"},
+                       "centrals": {"J[1]": "2"}},
+        "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "1"}], "vector": {"1": "1"}}],
+        "monomial_bound": 2,
+    }
+    code, report, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 2
+    assert report is None
+    assert "centrals key 'J[1]' is not c1, c2 or c3" in capsys.readouterr().err

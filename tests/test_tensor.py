@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planargca.algebra import C1, C2, Generator, H, I, J, L, bracket_basis
+from planargca.algebra import C1, C2, C3, Generator, H, I, J, L, bracket_basis, gen_key
 from planargca.omega import OmegaSpec
 from planargca.pbw import PBWMonomial
 from planargca.poly import P_ONE, Poly, X, Y
@@ -128,52 +130,95 @@ def test_central_acts_through_restricted_side():
     assert tensor_eq(module, acted, tensor_scale(module, sc(Fraction(1, 2)), t))
 
 
-def test_tensor_module_axiom_sampled():
-    rng = random.Random(31)
-    specs = [sigma_zero(eta=sc(1, 3)), zero_sigma(eta=sc(1, 3))]
-    modules = [TrivialModule(), whittaker_module()]
-    for spec in specs:
-        for module in modules:
-            w = (
-                sc(1)
-                if isinstance(module, TrivialModule)
-                else ModuleVector.cyclic()
-            )
-            vectors = [
-                one_tensor(module, w),
-                tensor_canonical(module, [(X * Y, w), (X, w)]),
-            ]
-            gens = [
-                Generator(fam, idx)
-                for fam in "LHIJ"
-                for idx in range(-3, 4)
-            ]
-            gens += [C1, C2]
-            for _ in range(40):
-                g1 = gens[rng.randrange(len(gens))]
-                g2 = gens[rng.randrange(len(gens))]
-                t = vectors[rng.randrange(len(vectors))]
-                lhs_pairs = []
-                for g, coeff in bracket_basis(g1, g2).terms.items():
-                    lhs_pairs.extend(
-                        (p.scale(coeff), v)
-                        for p, v in tensor_act(spec, module, g, t).pairs
-                    )
-                lhs = tensor_canonical(module, lhs_pairs)
-                rhs = tensor_add(
-                    module,
-                    tensor_act(
-                        spec, module, g1, tensor_act(spec, module, g2, t)
-                    ),
-                    tensor_scale(
-                        module,
-                        -ONE,
-                        tensor_act(
-                            spec, module, g2, tensor_act(spec, module, g1, t)
-                        ),
-                    ),
+RICH_DATUM = {
+    "I[1]": "1", "J[1]": "2", "L[1]": "3", "H[1]": "-1",
+    "c1": "1/2", "c2": "1/5", "c3": "1/3",
+}
+
+
+def axiom_modules():
+    rich = WhittakerRestrictedModule(validate_whittaker(RICH_DATUM, 1, 1))
+    return [
+        TrivialModule(),
+        whittaker_module(),
+        rich,
+        lift_restricted("virasoro_style", rich),
+        lift_restricted("heisenberg_virasoro_style", rich),
+    ]
+
+
+AXIOM_GENERATORS = [
+    Generator(fam, idx) for fam in "LHIJ" for idx in range(-3, 4)
+] + [C1, C2, C3]
+
+_small = st.builds(
+    lambda num, den: sc(Fraction(num, den)),
+    st.integers(-3, 3).filter(bool),
+    st.integers(1, 3),
+)
+# Free generators at (m, n) = (1, 1): every family below index 1.
+_free = st.builds(Generator, st.sampled_from("LHIJ"), st.integers(-1, 0))
+
+
+@st.composite
+def axiom_cases(draw):
+    spec = draw(st.sampled_from(
+        [sigma_zero(eta=sc(1, 3)), zero_sigma(eta=sc(1, 3)), sigma_zero(sigma=X)]
+    ))
+    module = draw(st.sampled_from(axiom_modules()))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        poly = Poly.combine(
+            (draw(_small), Poly.monomial(draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+        if isinstance(module, TrivialModule):
+            vector = draw(_small)
+        else:
+            vector = ModuleVector.combine(
+                (
+                    draw(_small),
+                    ModuleVector.single(PBWMonomial.from_word(
+                        sorted(draw(st.lists(_free, max_size=3)), key=gen_key)
+                    )),
                 )
-                assert tensor_eq(module, lhs, rhs), (str(g1), str(g2))
+                for _ in range(draw(st.integers(1, 2)))
+            )
+        pairs.append((poly, vector))
+    t = tensor_canonical(module, pairs)
+    brackets = []
+    for _ in range(4):
+        g1 = draw(st.sampled_from(AXIOM_GENERATORS))
+        g2 = draw(st.sampled_from(AXIOM_GENERATORS))
+        if not (g1.is_central or g2.is_central) and draw(st.booleans()):
+            # Opposite indices reach the central terms of the brackets.
+            g2 = Generator(g2.family, -g1.index)
+        brackets.append((g1, g2))
+    return spec, module, t, brackets
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(axiom_cases())
+def test_tensor_module_axiom_sampled(case):
+    # [g1, g2] . t = g1 . g2 . t - g2 . g1 . t on random 1-3-pair tensors,
+    # over the trivial module, two Whittaker modules and both lifts.
+    spec, module, t, brackets = case
+    for g1, g2 in brackets:
+        lhs_pairs = []
+        for g, coeff in bracket_basis(g1, g2).terms.items():
+            lhs_pairs.extend(
+                (p.scale(coeff), v) for p, v in tensor_act(spec, module, g, t).pairs
+            )
+        lhs = tensor_canonical(module, lhs_pairs)
+        rhs = tensor_add(
+            module,
+            tensor_act(spec, module, g1, tensor_act(spec, module, g2, t)),
+            tensor_scale(
+                module, -ONE,
+                tensor_act(spec, module, g2, tensor_act(spec, module, g1, t)),
+            ),
+        )
+        assert tensor_eq(module, lhs, rhs), (str(g1), str(g2))
 
 
 # -- Vandermonde extraction -------------------------------------------------------

@@ -551,11 +551,20 @@ def test_degree_drop_random_vectors(m, n):
 # -- singular-vector search ------------------------------------------------------
 
 
+def generating_set_names(m, n):
+    return (
+        [f"L[{p}]" for p in range(m, 2 * m + 1)]
+        + [f"H[{p}]" for p in range(m, 2 * m)]
+        + [f"I[{p}]" for p in range(n, n + m)]
+        + [f"J[{p}]" for p in range(n, n + m)]
+    )
+
+
 def test_search_none_when_top_values_nonzero():
     report = singular_vector_search(psi_11(), 4)
     assert not report.found
     assert report.witness is None
-    assert report.spot_check_ok
+    assert report.operators == generating_set_names(1, 1)
 
 
 def test_search_finds_i_witness_when_i_vanishes():
@@ -616,30 +625,82 @@ def test_search_witness_annihilated_by_shifted_generators():
             assert act_shifted(datum, g, report.witness) == ModuleVector.zero()
 
 
-PRUNING_DATA = [
+SEARCH_DATA = [
     (1, 1, {"I[1]": "1", "J[1]": "1"}),
+    (1, 1, {"J[1]": "1"}),
+    (1, 1, {"I[1]": "1"}),
+    (1, 1, {"I[1]": "1", "J[1]": "2", "L[1]": "3", "L[2]": "1/2", "H[1]": "-1"}),
     (1, 2, {"I[2]": "3", "J[2]": "2"}),
     (2, 2, {"I[3]": "1", "J[3]": "1", "L[2]": "1/2", "H[3]": "-1"}),
     (3, 1, {"I[3]": "1", "J[3]": "1", "L[6]": "2", "c1": "1/3"}),
+    (1, 4, {"I[4]": "1", "J[4]": "1"}),
+    (2, 1, {"I[2]": "1", "J[2]": "2"}),
+    (2, 0, {"I[0]": "1", "J[0]": "1", "I[1]": "1", "J[1]": "2"}),
 ]
 
 
-@pytest.mark.parametrize("m,n,values", PRUNING_DATA)
-def test_search_pruning_changes_no_report(monkeypatch, m, n, values):
-    datum = validate_whittaker(values, m, n)
-    pruned = singular_vector_search(datum, 4)
-    monkeypatch.setattr(whittaker, "annihilation_bound", lambda d, v: 10**9)
-    assert singular_vector_search(datum, 4) == pruned
+def search_outcome(report):
+    return report.found, report.witness, report.basis_size
 
 
-@pytest.mark.parametrize("m,n,values", PRUNING_DATA)
-def test_search_rejects_witness_from_unsound_pruning(monkeypatch, m, n, values):
-    # Pruning every operator leaves no equations, so the kernel hands back
-    # a column that is no Whittaker vector; re-verification must catch it.
+@pytest.mark.parametrize("m,n,values", SEARCH_DATA)
+def test_search_generating_set_matches_all_operators(monkeypatch, m, n, values):
     datum = validate_whittaker(values, m, n)
-    monkeypatch.setattr(whittaker, "annihilation_bound", lambda d, v: -(10**9))
+    expected = search_outcome(singular_vector_search(datum, 4))
+    index_max = 2 * m + 2 * n + 4 + 2
+    monkeypatch.setattr(
+        whittaker,
+        "_generating_set",
+        lambda d: whittaker._search_operators(d, index_max),
+    )
+    assert search_outcome(singular_vector_search(datum, 4)) == expected
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+def test_search_rejects_witness_from_incomplete_generating_set(
+    monkeypatch, m, n
+):
+    # The L operators alone do not generate the subalgebra, so their rows
+    # leave a kernel vector that is no Whittaker vector; re-verification
+    # must catch it instead of returning it.
+    top = m + n - 1
+    datum = validate_whittaker({f"I[{top}]": "1", f"J[{top}]": "1"}, m, n)
+    monkeypatch.setattr(
+        whittaker,
+        "_generating_set",
+        lambda d: [L(p) for p in range(d.m, 2 * d.m + 1)],
+    )
     with pytest.raises(AssertionError, match="re-verification"):
         singular_vector_search(datum, 4)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_generating_set_spans_subalgebra(m, n):
+    # Close the generating set under brackets up to a bound; inside the
+    # subalgebra every bracket is a multiple of one basis generator (all
+    # indices are nonnegative, so nothing above the bound feeds back).
+    bound = 4 * m + 2 * n + 10
+    datum = validate_whittaker({}, m, n)
+    gens = whittaker._generating_set(datum)
+    assert len(gens) == 4 * m + 1
+    assert all(datum.in_subalgebra(g) and not g.is_central for g in gens)
+    span = set(gens)
+    queue = list(gens)
+    while queue:
+        x = queue.pop()
+        for y in list(span):
+            for g in bracket_basis(x, y).terms:
+                assert datum.in_subalgebra(g)
+                if not g.is_central and g.index <= bound and g not in span:
+                    span.add(g)
+                    queue.append(g)
+    expected = {
+        Generator(fam, p)
+        for fam, low in (("L", m), ("H", m), ("I", n), ("J", n))
+        for p in range(low, bound + 1)
+    }
+    assert span == expected
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
@@ -650,7 +711,18 @@ def test_search_none_at_weight_six(m, n):
     report = singular_vector_search(datum, 6)
     assert not report.found
     assert report.witness is None
-    assert report.spot_check_ok
+    assert report.operators == generating_set_names(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+def test_search_none_at_weight_seven(m, n):
+    # Criterion 4's data, three weights past the acceptance campaigns
+    # (2229 basis monomials).
+    top = m + n - 1
+    datum = validate_whittaker({f"I[{top}]": "1", f"J[{top}]": "1"}, m, n)
+    report = singular_vector_search(datum, 7)
+    assert not report.found
+    assert report.witness is None
 
 
 # -- the twist -------------------------------------------------------------------
