@@ -1,17 +1,23 @@
 """Exact linear algebra over Gaussian rationals.
 
-Dense matrices are tuples of tuples of scalars; elimination pivots on the
-first nonzero entry of each column.  Sizes in this package stay tiny (well
-under 50 rows), so clarity wins over asymptotics, and everything is exact.
+All elimination but the determinant's runs through one kernel,
+``SparseEchelon``: an incrementally maintained reduced row echelon form
+over sparse rows with integer-indexed columns.  It backs the orbit-closure
+probes and the singular-vector search, where rows arrive one at a time and
+most reduce to zero.  Because stored rows stay fully reduced against each
+other, reducing a new row is a single pass over its own pivot columns.
 
-``SparseEchelon`` keeps an incrementally maintained reduced row echelon form
-over integer-indexed columns.  It backs the orbit-closure probes and the
-kernel computations, where rows arrive one at a time and most reduce to zero.
+Dense matrices are tuples of tuples of scalars, and stay tiny (well under
+50 rows).  ``matrix_solve``, ``matrix_nullspace`` and ``matrix_inverse``
+insert their rows into a ``SparseEchelon`` and read the answer off the
+reduced rows.  ``determinant`` keeps its own forward elimination: it needs
+the unnormalized pivots, and the ``psi14`` campaign uses it as a check that
+stands independent of ``matrix_nullspace``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -78,35 +84,12 @@ class Matrix:
         return f"Matrix([{body}])"
 
 
-def _rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0])
-    pivot_cols: List[int] = []
-    pivot_row = 0
-    for col in range(ncols):
-        found = None
-        for r in range(pivot_row, nrows):
-            if rows[r][col]:
-                found = r
-                break
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [entry * inv for entry in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [
-                    rows[r][j] - factor * rows[pivot_row][j]
-                    for j in range(ncols)
-                ]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return rows, pivot_cols
+def _echelon(rows: Iterable[Sequence[Scalar]]) -> "SparseEchelon":
+    """Reduced echelon form of dense rows, columns indexed from 0."""
+    echelon = SparseEchelon()
+    for row in rows:
+        echelon.insert(dict(enumerate(row)))
+    return echelon
 
 
 def matrix_solve(matrix: Matrix, rhs: Sequence[Scalar]) -> List[Scalar]:
@@ -115,14 +98,11 @@ def matrix_solve(matrix: Matrix, rhs: Sequence[Scalar]) -> List[Scalar]:
         raise SingularMatrix("matrix must be square")
     if len(rhs) != matrix.nrows:
         raise ValueError("right-hand side has wrong length")
-    augmented = [list(row) + [rhs[i]] for i, row in enumerate(matrix.rows)]
-    reduced, pivots = _rref(augmented)
-    if len(pivots) != matrix.ncols or matrix.ncols in pivots:
+    n = matrix.ncols
+    echelon = _echelon(list(row) + [rhs[i]] for i, row in enumerate(matrix.rows))
+    if sorted(echelon.pivots) != list(range(n)):
         raise SingularMatrix("no unique solution")
-    solution = [ZERO] * matrix.ncols
-    for row_index, col in enumerate(pivots):
-        solution[col] = reduced[row_index][-1]
-    return solution
+    return [echelon.pivots[col].get(n, ZERO) for col in range(n)]
 
 
 def matrix_nullspace(matrix: Matrix) -> List[List[Scalar]]:
@@ -131,18 +111,12 @@ def matrix_nullspace(matrix: Matrix) -> List[List[Scalar]]:
     The basis is the canonical one from the reduced row echelon form: one
     vector per free column, with a 1 in that column.
     """
-    rows = [list(row) for row in matrix.rows]
-    reduced, pivots = _rref(rows)
-    pivot_set = set(pivots)
+    echelon = _echelon(matrix.rows)
     basis: List[List[Scalar]] = []
     for free in range(matrix.ncols):
-        if free in pivot_set:
-            continue
-        vector = [ZERO] * matrix.ncols
-        vector[free] = ONE
-        for row_index, col in enumerate(pivots):
-            vector[col] = -reduced[row_index][free]
-        basis.append(vector)
+        if free not in echelon.pivots:
+            vector = echelon.kernel_vector(free)
+            basis.append([vector.get(col, ZERO) for col in range(matrix.ncols)])
     return basis
 
 
@@ -180,29 +154,39 @@ def matrix_inverse(matrix: Matrix) -> Matrix:
     if matrix.nrows != matrix.ncols:
         raise SingularMatrix("matrix must be square")
     n = matrix.nrows
-    augmented = [
-        list(row) + list(Matrix.identity(n).rows[i])
-        for i, row in enumerate(matrix.rows)
-    ]
-    reduced, pivots = _rref(augmented)
-    if pivots != list(range(n)):
+    identity = Matrix.identity(n).rows
+    echelon = _echelon(
+        list(row) + list(identity[i]) for i, row in enumerate(matrix.rows)
+    )
+    if sorted(echelon.pivots) != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return Matrix([row[n:] for row in reduced])
+    return Matrix(
+        [[echelon.pivots[i].get(n + j, ZERO) for j in range(n)] for i in range(n)]
+    )
+
+
+def _subtract(target: Dict[int, Scalar], factor: Scalar, row: Dict[int, Scalar]) -> None:
+    """``target -= factor * row`` in place, dropping entries that cancel."""
+    for col, coeff in row.items():
+        updated = target.get(col, ZERO) - factor * coeff
+        if updated:
+            target[col] = updated
+        else:
+            target.pop(col, None)
 
 
 class SparseEchelon:
-    """Incrementally maintained row echelon form over sparse rows.
+    """Incrementally maintained reduced row echelon form over sparse rows.
 
-    Rows are dicts mapping integer column indices to nonzero scalars.  In
-    the default echelon mode each stored row is normalized and reduced
-    against earlier pivots only, which is enough for span membership and
-    dimension and keeps rows sparse.  With ``full_reduce=True`` the stored
-    rows stay fully reduced against each other (true reduced echelon form),
-    which is what kernel extraction needs.
+    Rows are dicts mapping integer column indices to nonzero scalars.
+    ``pivots`` maps each pivot column to its stored row.  The invariant:
+    every stored row has a 1 at its pivot, which is its smallest column,
+    and a 0 at every other pivot.  The stored rows are therefore the
+    reduced echelon basis of the span, which depends only on the span and
+    not on the order in which rows were inserted.
     """
 
-    def __init__(self, full_reduce: bool = False) -> None:
-        self.full_reduce = full_reduce
+    def __init__(self) -> None:
         self.pivots: Dict[int, Dict[int, Scalar]] = {}
 
     @property
@@ -210,93 +194,64 @@ class SparseEchelon:
         return len(self.pivots)
 
     def reduce(self, row: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        """Remainder of ``row`` after forward elimination by stored rows.
+        """Remainder of ``row`` after clearing every stored pivot column.
 
-        The remainder is empty exactly when the row lies in the span.  In
-        fully reduced mode every pivot column of the remainder is cleared,
-        not just the leading ones.
+        The remainder is empty exactly when the row lies in the span.  A
+        stored row is 0 at every other pivot, so subtracting it leaves the
+        row's other pivot entries as they were: one pass over the row's own
+        pivot columns clears them all.
         """
         work = {col: coeff for col, coeff in row.items() if coeff}
-        while work:
-            lead = min(work)
-            pivot_row = self.pivots.get(lead)
-            if pivot_row is None:
-                break
-            factor = work[lead]
-            for col, coeff in pivot_row.items():
-                updated = work.get(col, ZERO) - factor * coeff
-                if updated:
-                    work[col] = updated
-                else:
-                    work.pop(col, None)
-        if self.full_reduce and work:
-            # Rows here are pairwise fully reduced, so clearing one pivot
-            # column never reintroduces another; one pass over the original
-            # hits terminates.
-            for col in sorted(work):
-                coeff = work.get(col)
-                if not coeff:
-                    continue
-                pivot_row = self.pivots.get(col)
-                if pivot_row is None:
-                    continue
-                for other, value in pivot_row.items():
-                    updated = work.get(other, ZERO) - coeff * value
-                    if updated:
-                        work[other] = updated
-                    else:
-                        work.pop(other, None)
+        for lead in [col for col in work if col in self.pivots]:
+            _subtract(work, work[lead], self.pivots[lead])
         return work
 
     def insert(self, row: Dict[int, Scalar]) -> bool:
-        """Add ``row`` to the span; returns True if it was independent."""
+        """Add ``row`` to the span; returns True if it was independent.
+
+        The new row is stored last in ``pivots``, normalized to lead 1, and
+        its pivot column is cleared from every earlier row.
+        """
         remainder = self.reduce(row)
         if not remainder:
             return False
         lead = min(remainder)
         inv = remainder[lead].inverse()
         normalized = {col: coeff * inv for col, coeff in remainder.items()}
-        if self.full_reduce:
-            # Clear the new pivot column from every stored row.
-            for pivot_col, pivot_row in self.pivots.items():
-                coeff = pivot_row.get(lead)
-                if coeff:
-                    for col, value in normalized.items():
-                        updated = pivot_row.get(col, ZERO) - coeff * value
-                        if updated:
-                            pivot_row[col] = updated
-                        else:
-                            pivot_row.pop(col, None)
+        for stored in self.pivots.values():
+            coeff = stored.get(lead)
+            if coeff:
+                _subtract(stored, coeff, normalized)
         self.pivots[lead] = normalized
         return True
 
     def contains(self, row: Dict[int, Scalar]) -> bool:
         return not self.reduce(row)
 
-    def kernel_vector_at_first_free_column(
-        self, ncols: int
-    ) -> Optional[Dict[int, Scalar]]:
-        """Kernel vector for the smallest non-pivot column, if any.
+    def kernel_vector(self, free: int) -> Dict[int, Scalar]:
+        """The kernel vector with a 1 at the non-pivot column ``free``.
 
-        Requires fully reduced mode.  The returned vector has a 1 at the
-        free column and is supported only on columns up to it (full
-        reduction guarantees nothing later enters).
+        It has -row[free] at each pivot and is 0 at every other free column,
+        so every inserted row kills it.
         """
-        if not self.full_reduce:
-            raise ValueError("kernel extraction needs full_reduce=True")
-        free = None
-        for col in range(ncols):
-            if col not in self.pivots:
-                free = col
-                break
-        if free is None:
-            return None
         vector: Dict[int, Scalar] = {free: ONE}
         for pivot_col, pivot_row in self.pivots.items():
             coeff = pivot_row.get(free)
             if coeff:
                 vector[pivot_col] = -coeff
         return vector
+
+    def kernel_vector_at_first_free_column(
+        self, ncols: int
+    ) -> Optional[Dict[int, Scalar]]:
+        """Kernel vector for the smallest non-pivot column below ``ncols``.
+
+        It is supported only on columns up to that free column, since every
+        pivot row's smallest column is its pivot.  None when all ``ncols``
+        columns are pivots.
+        """
+        free = next((col for col in range(ncols) if col not in self.pivots), None)
+        return None if free is None else self.kernel_vector(free)
 
     def rows_sorted(self) -> List[Dict[int, Scalar]]:
         return [self.pivots[col] for col in sorted(self.pivots)]

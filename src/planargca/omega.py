@@ -29,7 +29,8 @@ are restricted to Gaussian rationals so that every check is exact.
 constant polynomial 1 from a seed certifies (exactly, within the given
 index and degree bounds) that the seed generates a dense orbit; not
 reaching it is only evidence of a proper submodule, never a proof, since
-the module is infinite dimensional.
+the module is infinite dimensional.  Its ``ClosureReport.basis`` is the
+reduced echelon basis of the span it found.
 """
 
 from __future__ import annotations
@@ -277,7 +278,8 @@ def submodule_closure_probe(
     of the true orbit span.  The probe iterates to a fixed point and reports
     whether the constant polynomial 1 lies in the span.  Image degrees are
     predicted by ``degree_raise`` before acting, so images over the cap and
-    zero images are never computed.
+    zero images are never computed.  ``basis`` is the reduced echelon basis
+    of the span (see ``linalg.SparseEchelon``).
     """
     if not seed:
         raise ValueError("seed must be nonzero")
@@ -324,8 +326,10 @@ def submodule_closure_probe(
             if basis.insert(row):
                 queue.append(image)
 
-    # Canonical basis for the report: reduced rows converted back to
-    # polynomials, sorted by leading column.
+    # The reduced echelon basis of the span, which does not depend on the
+    # order rows were inserted in: one polynomial per pivot, in column order
+    # (total degree, then X-degree), with coefficient 1 at its leading
+    # monomial and 0 at every other basis polynomial's leading monomial.
     basis_polys = []
     for row in basis.rows_sorted():
         poly = Poly({monomials[col]: coeff for col, coeff in row.items()})

@@ -1,8 +1,9 @@
 """Tensor products of a rank-one polynomial module with a restricted module.
 
-A restricted module is accessed only through a small handle interface:
-generator action, vector arithmetic, a zero test, and a sound annihilation
-bound (an index beyond which every generator kills a given vector).  Tensor
+A restricted module is accessed only through the six methods of
+``RestrictedModule``: ``zero``, ``is_zero``, ``add``, ``scale``, the
+generator action ``act``, and a sound ``annihilation_bound`` (an index
+beyond which every generator kills a given vector).  Tensor
 vectors are kept as finite lists of (polynomial, vector) pairs with
 linearly independent polynomial parts; canonicalization decomposes over
 the monomial basis, merging the restricted vectors per monomial, which is
@@ -89,12 +90,6 @@ class RestrictedModule:
     def annihilation_bound(self, v) -> int:
         raise NotImplementedError
 
-    def eq(self, u, v) -> bool:
-        return self.is_zero(self.add(u, self.scale(-ONE, v)))
-
-    def describe(self, v) -> object:
-        return str(v)
-
 
 class TrivialModule(RestrictedModule):
     """The one-dimensional module on which every generator acts as zero."""
@@ -121,9 +116,6 @@ class TrivialModule(RestrictedModule):
     def annihilation_bound(self, v: Scalar) -> int:
         return self.SENTINEL_BOUND
 
-    def describe(self, v: Scalar) -> object:
-        return str(v)
-
 
 class WhittakerRestrictedModule(RestrictedModule):
     """A Whittaker module exposed through the restricted-module interface."""
@@ -148,9 +140,6 @@ class WhittakerRestrictedModule(RestrictedModule):
 
     def annihilation_bound(self, v: ModuleVector) -> int:
         return annihilation_bound(self.datum, v)
-
-    def describe(self, v: ModuleVector) -> object:
-        return v.to_json()
 
 
 _LIFT_KILLS = {
@@ -192,9 +181,6 @@ class LiftedModule(RestrictedModule):
     def annihilation_bound(self, v) -> int:
         return self.inner.annihilation_bound(v)
 
-    def describe(self, v) -> object:
-        return self.inner.describe(v)
-
 
 def lift_restricted(base: str, data: Optional[RestrictedModule] = None) -> RestrictedModule:
     """Construct a restricted module from one of the stock recipes."""
@@ -230,12 +216,6 @@ class TensorVector:
 
     def y_degree(self) -> int:
         return max((p.y_degree() for p, _ in self.pairs), default=-1)
-
-    def describe(self, module: RestrictedModule) -> list:
-        return [
-            {"poly": p.to_json(), "vector": module.describe(v)}
-            for p, v in self.pairs
-        ]
 
 
 def tensor_canonical(
@@ -378,15 +358,6 @@ class TensorProbeReport:
     monomial_bound: int
     monomials_generated: int
     steps: List[str]
-
-    def to_json(self) -> dict:
-        return {
-            "reached_one_tensor": self.reached_one_tensor,
-            "obstruction": self.obstruction,
-            "monomial_bound": self.monomial_bound,
-            "monomials_generated": self.monomials_generated,
-            "steps": self.steps,
-        }
 
 
 def _constant_sigma(spec: OmegaSpec) -> Optional[Scalar]:

@@ -200,6 +200,7 @@ def validate_whittaker(values: RawValues, m: int, n: int) -> WhittakerDatum:
     if n < 0:
         raise PreconditionViolated("n must be non-negative")
     normalized: Dict[Generator, Scalar] = {}
+    seen = set()
     for key, raw in values.items():
         g = parse_gen(key) if isinstance(key, str) else key
         coeff = (
@@ -207,11 +208,12 @@ def validate_whittaker(values: RawValues, m: int, n: int) -> WhittakerDatum:
             if isinstance(raw, Scalar)
             else parse_scalar(str(raw))
         )
-        if not coeff:
-            continue
-        if g in normalized:
+        # Two spellings of one generator are refused even when one is zero.
+        if g in seen:
             raise ValueError(f"duplicate value for {gen_str(g)}")
-        normalized[g] = coeff
+        seen.add(g)
+        if coeff:
+            normalized[g] = coeff
     datum = WhittakerDatum(m, n, {})
     for g, coeff in normalized.items():
         if not datum.in_subalgebra(g):
@@ -706,15 +708,6 @@ class SearchReport:
     basis_size: int
     operators: List[str]
 
-    def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "witness": self.witness.to_json() if self.witness else None,
-            "weight_bound": self.weight_bound,
-            "basis_size": self.basis_size,
-            "operators": self.operators,
-        }
-
 
 def _search_operators(
     datum: WhittakerDatum, index_max: int
@@ -783,7 +776,7 @@ def singular_vector_search(
                 key = (gen_str(op), str(out_mono))
                 rows.setdefault(key, {})[col] = coeff
 
-    echelon = SparseEchelon(full_reduce=True)
+    echelon = SparseEchelon()
     for key in sorted(rows):
         echelon.insert(rows[key])
     kernel = echelon.kernel_vector_at_first_free_column(len(columns))
@@ -868,14 +861,6 @@ class TwistResult:
     translation: IJTranslation
     twisted: WhittakerDatum
 
-    def to_json(self) -> dict:
-        return {
-            "a": [str(value) for value in self.a],
-            "b": [str(value) for value in self.b],
-            "x": self.translation.element.to_json(),
-            "twisted": self.twisted.to_json(),
-        }
-
 
 def solve_twist(datum: WhittakerDatum) -> TwistResult:
     """Normalize the L/H values at index m+n and above to zero.
@@ -948,16 +933,6 @@ class Psi14Result:
     witness: ModuleVector
     datum: WhittakerDatum
     verified: bool
-
-    def to_json(self) -> dict:
-        return {
-            "matrix": [
-                [str(entry) for entry in row] for row in self.matrix.rows
-            ],
-            "coefficients": [str(c) for c in self.coefficients],
-            "witness": self.witness.to_json(),
-            "verified": self.verified,
-        }
 
 
 def psi14_matrix(alpha: Scalar, beta: Scalar) -> Matrix:

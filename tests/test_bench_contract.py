@@ -58,7 +58,9 @@ def test_install_then_restore_leaves_every_attribute_original(tracing):
     names = {f"{getattr(o, '__name__', o)}.{a}" for o, a in patched}
     for expected in ("Poly.__mul__", "Poly.shift", "Scalar.__add__",
                      "Scalar.__mul__", "Scalar.inverse", "CachedAction.act",
-                     "SparseEchelon.insert"):
+                     "SparseEchelon.insert", "SparseEchelon.contains",
+                     "SparseEchelon.rows_sorted",
+                     "SparseEchelon.kernel_vector_at_first_free_column"):
         assert expected in names, f"{expected} was not patched"
     after = _snapshot(tracing)
     assert after.keys() == before.keys()

@@ -433,6 +433,21 @@ def test_zero_closure_seed_rejected(tmp_path, capsys, seed):
     assert "closure.seeds[1] must be nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"I[1]": "0", " I[1]": "5", "J[1]": "1"},
+        {"I[1]": "5", " I[1]": "0", "J[1]": "1"},
+    ],
+)
+def test_whittaker_duplicate_value_with_zero_copy_rejected(tmp_path, capsys, values):
+    config = {"m": 1, "n": 1, "values": values, "weight_bound": 2}
+    code, report, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 2
+    assert report is None
+    assert "duplicate value for I[1]" in capsys.readouterr().err
+
+
 def test_whittaker_search_lists_generating_set(tmp_path):
     config = {"m": 2, "n": 2, "values": {"I[3]": "1", "J[3]": "1"}, "weight_bound": 2}
     code, report, _ = run(tmp_path, "whittaker-search", config)

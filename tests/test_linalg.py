@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planargca.linalg import (
     Matrix,
@@ -99,7 +101,7 @@ def test_sparse_echelon_membership():
 
 
 def test_sparse_echelon_kernel_extraction():
-    echelon = SparseEchelon(full_reduce=True)
+    echelon = SparseEchelon()
     # Rows of [[1, 2, 3], [0, 1, 1]]; kernel spanned by (-1, -1, 1).
     echelon.insert({0: sc(1), 1: sc(2), 2: sc(3)})
     echelon.insert({1: sc(1), 2: sc(1)})
@@ -109,8 +111,131 @@ def test_sparse_echelon_kernel_extraction():
     assert echelon.kernel_vector_at_first_free_column(3) is None
 
 
-def test_sparse_echelon_kernel_requires_full_mode():
-    echelon = SparseEchelon()
-    echelon.insert({0: ONE})
-    with pytest.raises(ValueError):
-        echelon.kernel_vector_at_first_free_column(1)
+# -- reference elimination over Fraction pairs ---------------------------------
+#
+# An independent reduced row echelon form: a Gaussian rational is a pair
+# (re, im) of Fractions, and elimination is the textbook dense Gauss-Jordan.
+
+
+def _pair(scalar):
+    return (scalar.re, scalar.im)
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _inv(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def _reference_rref(rows):
+    """(nonzero reduced rows as pair lists, pivot columns)."""
+    rows = [[_pair(entry) for entry in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        k = len(pivots)
+        found = next((r for r in range(k, len(rows)) if rows[r][col] != (0, 0)), None)
+        if found is None:
+            continue
+        rows[k], rows[found] = rows[found], rows[k]
+        inv = _inv(rows[k][col])
+        rows[k] = [_mul(entry, inv) for entry in rows[k]]
+        for r in range(len(rows)):
+            factor = rows[r][col]
+            if r != k and factor != (0, 0):
+                rows[r] = [
+                    (a[0] - p[0], a[1] - p[1])
+                    for a, p in zip(rows[r], (_mul(factor, b) for b in rows[k]))
+                ]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+_part = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)
+)
+_entry = st.one_of(st.just(ZERO), st.builds(sc, _part, st.one_of(st.just(0), _part)))
+
+
+def _draw_rows(data, nrows, ncols):
+    """Rows with small Gaussian-rational entries, some of them dependent."""
+    row = st.lists(_entry, min_size=ncols, max_size=ncols)
+    rows = [data.draw(row) for _ in range(nrows)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        a, b = data.draw(st.lists(_entry, min_size=2, max_size=2))
+        r, s = (data.draw(st.sampled_from(range(len(rows)))) for _ in range(2))
+        rows.append([a * x + b * y for x, y in zip(rows[r], rows[s])])
+    return rows
+
+
+def _dense(row, ncols):
+    return [_pair(row.get(col, ZERO)) for col in range(ncols)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sparse_echelon_is_canonical_reduced_form(data):
+    ncols = data.draw(st.integers(1, 5))
+    rows = _draw_rows(data, data.draw(st.integers(1, 4)), ncols)
+    expected_rows, expected_pivots = _reference_rref(rows)
+    orders = [rows, rows[::-1], data.draw(st.permutations(rows))]
+    for order in orders:
+        echelon = SparseEchelon()
+        for row in order:
+            echelon.insert(dict(enumerate(row)))
+        assert echelon.dimension == len(expected_pivots)
+        assert [_dense(row, ncols) for row in echelon.rows_sorted()] == expected_rows
+        for lead, row in echelon.pivots.items():
+            assert all(row.values())
+            assert min(row) == lead and row[lead] == ONE
+            assert not any(other in row for other in echelon.pivots if other != lead)
+        for free in range(ncols):
+            if free in echelon.pivots:
+                continue
+            vector = echelon.kernel_vector(free)
+            assert vector[free] == ONE
+            for row in rows:
+                dot = sum((row[col] * coeff for col, coeff in vector.items()), ZERO)
+                assert dot == ZERO
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dense_solvers_match_reference(data):
+    n = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(1, 5))
+    wide = Matrix(_draw_rows(data, data.draw(st.integers(1, 4)), ncols))
+    reduced, pivots = _reference_rref(wide.rows)
+    expected_kernel = []
+    for free in (col for col in range(ncols) if col not in pivots):
+        vector = [(0, 0)] * ncols
+        vector[free] = (1, 0)
+        for row, col in zip(reduced, pivots):
+            vector[col] = (-row[free][0], -row[free][1])
+        expected_kernel.append(vector)
+    assert [[_pair(e) for e in v] for v in matrix_nullspace(wide)] == expected_kernel
+
+    square = Matrix(data.draw(st.lists(
+        st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n
+    )))
+    rhs = data.draw(st.lists(_entry, min_size=n, max_size=n))
+    augmented = [list(row) + [rhs[i]] for i, row in enumerate(square.rows)]
+    reduced, pivots = _reference_rref(augmented)
+    if pivots == list(range(n)):
+        solution = matrix_solve(square, rhs)
+        assert [_pair(e) for e in solution] == [row[n] for row in reduced]
+    else:
+        with pytest.raises(SingularMatrix):
+            matrix_solve(square, rhs)
+
+    identity = Matrix.identity(n).rows
+    augmented = [list(row) + list(identity[i]) for i, row in enumerate(square.rows)]
+    reduced, pivots = _reference_rref(augmented)
+    if pivots == list(range(n)):
+        inverse = matrix_inverse(square).rows
+        assert [[_pair(e) for e in row] for row in inverse] == [row[n:] for row in reduced]
+    else:
+        with pytest.raises(SingularMatrix):
+            matrix_inverse(square)

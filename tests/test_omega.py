@@ -3,10 +3,12 @@ import random
 import pytest
 
 from planargca.algebra import C1, CENTRALS, Generator, H, I, J, L
+from planargca.linalg import SparseEchelon
 from planargca.omega import (
     CachedAction,
     InvalidSpec,
     OmegaSpec,
+    _monomial_table,
     degree_raise,
     omega_act,
     submodule_closure_probe,
@@ -14,7 +16,7 @@ from planargca.omega import (
 )
 from planargca.poly import P_ONE, P_ZERO, Poly, X, Y
 from planargca.sampling import random_poly
-from planargca.scalars import sc
+from planargca.scalars import ONE, sc
 
 
 def sigma_zero(lam=sc(2), eta=sc(0), sigma=P_ONE):
@@ -238,3 +240,27 @@ def test_closure_report_shape():
         "basis",
     }
     assert data["dimension"] == len(data["basis"])
+
+
+def test_closure_basis_is_the_reduced_echelon_basis():
+    # The basis depends only on the span: re-inserting its rows in reverse
+    # order reproduces it, and it is in reduced echelon form.
+    probe = submodule_closure_probe(sigma_zero(sigma=X), X * (Y * Y + X), 2, 5)
+    monomials, column_of = _monomial_table(5)
+    rows = [
+        {column_of[mono]: coeff for mono, coeff in Poly.from_json(poly).terms.items()}
+        for poly in probe.basis
+    ]
+    echelon = SparseEchelon()
+    for row in reversed(rows):
+        echelon.insert(row)
+    again = [
+        Poly({monomials[col]: coeff for col, coeff in row.items()}).to_json()
+        for row in echelon.rows_sorted()
+    ]
+    assert again == probe.basis
+    leads = [min(row) for row in rows]
+    assert leads == sorted(leads)
+    for lead, row in zip(leads, rows):
+        assert row[lead] == ONE
+        assert not any(other in row for other in leads if other != lead)

@@ -83,6 +83,18 @@ def test_validate_rejects_outside_subalgebra():
         validate_whittaker({"I[0]": "1"}, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"I[1]": "0", " I[1]": "5", "J[1]": "1"},
+        {"I[1]": "5", " I[1]": "0", "J[1]": "1"},
+    ],
+)
+def test_validate_rejects_duplicate_with_zero_copy(values):
+    with pytest.raises(ValueError, match=r"duplicate value for I\[1\]"):
+        validate_whittaker(values, 1, 1)
+
+
 def test_validate_accepts_central_charges():
     datum = validate_whittaker({"I[1]": "1", "J[1]": "1", "c1": "1/2"}, 1, 1)
     assert datum.psi(C1) == sc(Fraction(1, 2))
