@@ -65,7 +65,6 @@ from .tensor import (
     j_nilpotency_witness,
     lift_restricted,
     tensor_act,
-    tensor_canonical,
     tensor_closure_probe,
     vandermonde_extract,
 )

@@ -17,7 +17,7 @@ import random
 import sys
 from typing import Any, List, Optional
 
-from .algebra import L, parse_gen
+from .algebra import H, L, parse_gen
 from .omega import (
     OmegaSpec,
     submodule_closure_probe,
@@ -28,13 +28,13 @@ from .scalars import parse_scalar
 from .linalg import determinant, matrix_nullspace
 from .sampling import random_block_vector, random_poly
 from .tensor import (
+    LiftedModule,
     RestrictedModule,
     TensorVector,
     TrivialModule,
     WhittakerRestrictedModule,
     j_nilpotency_witness,
     lift_restricted,
-    tensor_canonical,
     tensor_closure_probe,
 )
 from .whittaker import (
@@ -195,17 +195,22 @@ def _tensor_vector(
 ) -> TensorVector:
     if not isinstance(records, list) or not records:
         raise ConfigError(f"{where} must be a non-empty list of pairs")
+    # A trivial module, lifted or not, is spanned by w: its vectors are
+    # scalars c, read as c.w.
+    innermost = module
+    while isinstance(innermost, LiftedModule):
+        innermost = innermost.inner
     pairs = []
     for i, record in enumerate(records):
         _expect_keys(record, {"poly", "vector"}, set(), f"{where}[{i}]")
         poly = _poly(record["poly"], f"{where}[{i}].poly")
         raw = record["vector"]
-        if isinstance(module, TrivialModule):
-            vector = _scalar(raw, f"{where}[{i}].vector")
+        if isinstance(innermost, TrivialModule):
+            vector = ModuleVector.cyclic(_scalar(raw, f"{where}[{i}].vector"))
         else:
             vector = _module_vector(raw, f"{where}[{i}].vector")
         pairs.append((poly, vector))
-    return tensor_canonical(module, pairs)
+    return TensorVector.from_pairs(pairs)
 
 
 # -- campaign runners ----------------------------------------------------------
@@ -241,15 +246,8 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
     spec = _omega_spec(config["spec"], "spec")
     bound = _positive_int(config["index_bound"], "index_bound")
     cap = _positive_int(config["basis_cap"], "basis_cap")
-    report = verify_omega_axioms(spec, bound, cap)
-    checks = [
-        {
-            "id": "module-axioms",
-            "ok": report.ok,
-            "pairs_checked": report.pairs_checked,
-            "violations": report.violations,
-        }
-    ]
+    # The closure section is read in full before the axiom sweep runs.
+    seeds: List[Poly] = []
     closure = config.get("closure")
     if closure is not None:
         _expect_keys(
@@ -258,7 +256,7 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
             {"seeds", "random_seeds", "expect_contains_one"},
             "closure",
         )
-        seeds: List[Poly] = [
+        seeds = [
             _poly(record, f"closure.seeds[{i}]")
             for i, record in enumerate(closure.get("seeds", []))
         ]
@@ -297,24 +295,30 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
         expect = closure.get("expect_contains_one")
         if expect is not None:
             _boolean(expect, "closure.expect_contains_one")
-        for i, seed_poly in enumerate(seeds):
-            probe = submodule_closure_probe(
-                spec,
-                seed_poly,
-                _positive_int(closure["index_bound"], "closure.index_bound"),
-                _positive_int(closure["degree_cap"], "closure.degree_cap"),
-            )
-            ok = True if expect is None else probe.contains_one == expect
-            checks.append(
-                {
-                    "id": f"closure-seed-{i}",
-                    "ok": ok,
-                    "seed": seed_poly.to_json(),
-                    "dimension": probe.dimension,
-                    "contains_one": probe.contains_one,
-                    "truncated": probe.truncated,
-                }
-            )
+        closure_bound = _positive_int(closure["index_bound"], "closure.index_bound")
+        degree_cap = _positive_int(closure["degree_cap"], "closure.degree_cap")
+    report = verify_omega_axioms(spec, bound, cap)
+    checks = [
+        {
+            "id": "module-axioms",
+            "ok": report.ok,
+            "pairs_checked": report.pairs_checked,
+            "violations": report.violations,
+        }
+    ]
+    for i, seed_poly in enumerate(seeds):
+        probe = submodule_closure_probe(spec, seed_poly, closure_bound, degree_cap)
+        ok = True if expect is None else probe.contains_one == expect
+        checks.append(
+            {
+                "id": f"closure-seed-{i}",
+                "ok": ok,
+                "seed": seed_poly.to_json(),
+                "dimension": probe.dimension,
+                "contains_one": probe.contains_one,
+                "truncated": probe.truncated,
+            }
+        )
     return checks
 
 
@@ -331,6 +335,16 @@ def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
         "config",
     )
     bound = _positive_int(config["weight_bound"], "weight_bound")
+    expect_found = (
+        _boolean(config["expect_found"], "expect_found")
+        if "expect_found" in config
+        else None
+    )
+    expected = (
+        _module_vector(config["expect_witness"], "expect_witness")
+        if "expect_witness" in config
+        else None
+    )
     report = singular_vector_search(datum, bound)
     checks = [
         {
@@ -343,8 +357,7 @@ def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
             "generating_set": report.operators,
         },
     ]
-    if "expect_found" in config:
-        expect_found = _boolean(config["expect_found"], "expect_found")
+    if expect_found is not None:
         checks.append(
             {
                 "id": "expected-outcome",
@@ -352,8 +365,7 @@ def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
                 "expected_found": expect_found,
             }
         )
-    if "expect_witness" in config:
-        expected = _module_vector(config["expect_witness"], "expect_witness")
+    if expected is not None:
         checks.append(
             {
                 "id": "expected-witness",
@@ -372,16 +384,16 @@ def _run_twist(config: dict, rng: random.Random) -> List[dict]:
     except ValueError as exc:
         raise ConfigError(f"twist preconditions: {exc}") from exc
     # Independent recomputation: push every L/H position through the
-    # translation again and compare with the solver's datum.
-    recomputed_ok = True
-    for p in range(datum.m, 2 * datum.m + 1):
-        claimed = result.twisted.psi(L(p))
-        again = datum.psi_element(result.translation.apply(L(p)))
-        if claimed != again:
-            recomputed_ok = False
+    # translation again and compare with the solver's datum; positions
+    # from m+n on must be cleared.
+    m, n = datum.m, datum.n
+    positions = [L(p) for p in range(m, 2 * m + 1)] + [H(p) for p in range(m, 2 * m)]
+    recomputed_ok = all(
+        result.twisted.psi(g) == datum.psi_element(result.translation.apply(g))
+        for g in positions
+    )
     normalized_ok = all(
-        not result.twisted.psi(L(p))
-        for p in range(datum.m + datum.n, 2 * datum.m + 1)
+        not result.twisted.psi(g) for g in positions if g.index >= m + n
     )
     return [
         {
@@ -432,7 +444,7 @@ def _run_tensor_probe(config: dict, rng: random.Random) -> List[dict]:
     spec = _omega_spec(config["spec"], "spec")
     module = _restricted(config["restricted"], "restricted")
     seed = _tensor_vector(module, config["seed_pairs"], "seed_pairs")
-    if seed.is_zero():
+    if not seed:
         raise ConfigError("seed_pairs must give a nonzero tensor")
     bound = _positive_int(config["monomial_bound"], "monomial_bound")
     if "expect_reached" in config:

@@ -89,16 +89,6 @@ class OmegaSpec:
             if not self.sigma.is_univariate_in_x():
                 raise InvalidSpec("sigma must be a polynomial in X alone")
 
-    def to_json(self) -> dict:
-        data = {"variant": self.variant, "lambda": str(self.lam)}
-        if self.eta is not None:
-            data["eta"] = str(self.eta)
-        if self.sigma is not None:
-            data["sigma"] = self.sigma.to_json()
-        if self.delta is not None:
-            data["delta"] = self.delta.to_json()
-        return data
-
 
 def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
     """Action of one generator on a polynomial, per the tables above."""
@@ -256,16 +246,6 @@ class ClosureReport:
     index_bound: int
     degree_cap: int
     basis: List[list]
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "contains_one": self.contains_one,
-            "truncated": self.truncated,
-            "index_bound": self.index_bound,
-            "degree_cap": self.degree_cap,
-            "basis": self.basis,
-        }
 
 
 def submodule_closure_probe(

@@ -9,7 +9,7 @@ anywhere: every operation returns the full result.
 
 The JSON form is a list of ``{"xexp": a, "yexp": b, "coeff": "..."}`` records
 sorted by exponent, with coefficients in the scalar string form; exponents
-must be JSON integers.
+must be JSON integers, and a record with any other key is refused.
 """
 
 from __future__ import annotations
@@ -144,6 +144,9 @@ class Poly(LinearCombination):
     def from_json(records: Iterable[dict]) -> "Poly":
         terms: Dict[Exponent, Scalar] = {}
         for record in records:
+            unknown = set(record) - {"xexp", "yexp", "coeff"}
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)} in {record!r}")
             mono = (_exponent(record, "xexp"), _exponent(record, "yexp"))
             coeff = parse_scalar(str(record["coeff"]))
             terms[mono] = terms.get(mono, ZERO) + coeff

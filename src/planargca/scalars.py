@@ -278,9 +278,11 @@ class LinearCombination:
     """Finite sum of basis keys with nonzero scalar coefficients.
 
     ``terms`` maps each key to its coefficient and never holds a zero.
-    Subclasses fix what the keys are (generators, PBW monomials, exponent
-    pairs) and how the sum prints; the vector-space operations live here.
-    Values of different subclasses never compare equal.
+    The five subclasses fix what the keys are (generators for ``Element``,
+    PBW monomials for ``EnvelopingElement`` and ``ModuleVector``, exponent
+    pairs for ``Poly``, (exponent pair, PBW monomial) for ``TensorVector``)
+    and how the sum prints; the vector-space operations live here.  Values
+    of different subclasses never compare equal.
     """
 
     __slots__ = ("terms",)

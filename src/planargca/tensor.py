@@ -1,13 +1,17 @@
 """Tensor products of a rank-one polynomial module with a restricted module.
 
-A restricted module is accessed only through the six methods of
-``RestrictedModule``: ``zero``, ``is_zero``, ``add``, ``scale``, the
-generator action ``act``, and a sound ``annihilation_bound`` (an index
-beyond which every generator kills a given vector).  Tensor
-vectors are kept as finite lists of (polynomial, vector) pairs with
-linearly independent polynomial parts; canonicalization decomposes over
-the monomial basis, merging the restricted vectors per monomial, which is
-the unique presentation-independent form, so equality testing is exact.
+A restricted module is accessed only through the two methods of
+``RestrictedModule``: the generator action ``act`` and a sound
+``annihilation_bound`` (an index beyond which every generator kills a
+given vector).  Its vectors are ``ModuleVector``s: PBW monomials applied
+to a cyclic vector w.  The trivial module is spanned by w alone, so its
+vectors are the multiples c.w.
+
+A ``TensorVector`` is a ``LinearCombination`` keyed by ((a, b), u): the
+basis tensor X^a Y^b (x) u.w.  Monomials X^a Y^b and PBW monomials u are
+bases of the two factors, so the coefficients are the tensor's exact
+coordinates; the presentation is unique and sums, scaling and equality
+are the shared sparse-vector operations.
 
 The generator action is the usual one on a tensor product,
 
@@ -27,13 +31,14 @@ probe reports that obstruction instead of forcing an answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .algebra import Generator, H, I, J, L
 from .linalg import Matrix, matrix_inverse
 from .omega import OmegaSpec, omega_act
+from .pbw import PBWMonomial
 from .poly import Poly
-from .scalars import ONE, ZERO, Scalar, scalar_pow
+from .scalars import ONE, LinearCombination, Scalar, accumulate, scalar_pow
 from .whittaker import ModuleVector, WhittakerDatum, annihilation_bound, whittaker_act
 
 __all__ = [
@@ -45,10 +50,6 @@ __all__ = [
     "LiftedModule",
     "lift_restricted",
     "TensorVector",
-    "tensor_canonical",
-    "tensor_add",
-    "tensor_scale",
-    "tensor_eq",
     "tensor_act",
     "vandermonde_extract",
     "TensorProbeReport",
@@ -72,48 +73,24 @@ class RestrictedModule:
     strictly above the bound kills ``v``.
     """
 
-    def zero(self):
+    def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
         raise NotImplementedError
 
-    def is_zero(self, v) -> bool:
-        raise NotImplementedError
-
-    def add(self, u, v):
-        raise NotImplementedError
-
-    def scale(self, coeff: Scalar, v):
-        raise NotImplementedError
-
-    def act(self, g: Generator, v):
-        raise NotImplementedError
-
-    def annihilation_bound(self, v) -> int:
+    def annihilation_bound(self, v: ModuleVector) -> int:
         raise NotImplementedError
 
 
 class TrivialModule(RestrictedModule):
-    """The one-dimensional module on which every generator acts as zero."""
+    """The one-dimensional module c.w on which every generator acts as zero."""
 
     # Any bound works since all generators act by zero; -1 stands in for
     # "annihilated from the start" while keeping power computations small.
     SENTINEL_BOUND = -1
 
-    def zero(self) -> Scalar:
-        return ZERO
+    def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
+        return ModuleVector.zero()
 
-    def is_zero(self, v: Scalar) -> bool:
-        return not v
-
-    def add(self, u: Scalar, v: Scalar) -> Scalar:
-        return u + v
-
-    def scale(self, coeff: Scalar, v: Scalar) -> Scalar:
-        return coeff * v
-
-    def act(self, g: Generator, v: Scalar) -> Scalar:
-        return ZERO
-
-    def annihilation_bound(self, v: Scalar) -> int:
+    def annihilation_bound(self, v: ModuleVector) -> int:
         return self.SENTINEL_BOUND
 
 
@@ -122,18 +99,6 @@ class WhittakerRestrictedModule(RestrictedModule):
 
     def __init__(self, datum: WhittakerDatum):
         self.datum = datum
-
-    def zero(self) -> ModuleVector:
-        return ModuleVector.zero()
-
-    def is_zero(self, v: ModuleVector) -> bool:
-        return not v
-
-    def add(self, u: ModuleVector, v: ModuleVector) -> ModuleVector:
-        return u + v
-
-    def scale(self, coeff: Scalar, v: ModuleVector) -> ModuleVector:
-        return v.scale(coeff)
 
     def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
         return whittaker_act(self.datum, g, v)
@@ -161,24 +126,12 @@ class LiftedModule(RestrictedModule):
         self.inner = inner
         self.killed = killed
 
-    def zero(self):
-        return self.inner.zero()
-
-    def is_zero(self, v) -> bool:
-        return self.inner.is_zero(v)
-
-    def add(self, u, v):
-        return self.inner.add(u, v)
-
-    def scale(self, coeff: Scalar, v):
-        return self.inner.scale(coeff, v)
-
-    def act(self, g: Generator, v):
+    def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
         if g.family in self.killed:
-            return self.inner.zero()
+            return ModuleVector.zero()
         return self.inner.act(g, v)
 
-    def annihilation_bound(self, v) -> int:
+    def annihilation_bound(self, v: ModuleVector) -> int:
         return self.inner.annihilation_bound(v)
 
 
@@ -193,80 +146,44 @@ def lift_restricted(base: str, data: Optional[RestrictedModule] = None) -> Restr
     raise ValueError(f"unknown base {base!r}")
 
 
-class TensorVector:
-    """Canonical list of (polynomial, restricted vector) pairs.
+class TensorVector(LinearCombination):
+    """Sum of basis tensors X^a Y^b (x) u.w, keyed by ((a, b), u)."""
 
-    The canonical presentation keys the pairs by single monomials: the
-    vector paired with X^a Y^b is the tensor's exact coordinate there.
-    Distinct monomials are trivially linearly independent, the form is
-    unique (no dependence on how the tensor was assembled), and the X/Y
-    degrees read off the true tensor.
-    """
+    __slots__ = ()
 
-    __slots__ = ("pairs",)
+    @classmethod
+    def from_pairs(
+        cls, pairs: Iterable[Tuple[Poly, ModuleVector]]
+    ) -> "TensorVector":
+        """``sum p (x) v``, expanded bilinearly over both bases."""
+        out: Dict[Tuple[Tuple[int, int], PBWMonomial], Scalar] = {}
+        for p, v in pairs:
+            for mono, c in p.terms.items():
+                for u, d in v.terms.items():
+                    accumulate(out, (mono, u), c * d)
+        return cls(out)
 
-    def __init__(self, pairs: Sequence[Tuple[Poly, object]]):
-        self.pairs: Tuple[Tuple[Poly, object], ...] = tuple(pairs)
-
-    def is_zero(self) -> bool:
-        return not self.pairs
+    def by_monomial(self) -> Dict[Tuple[int, int], ModuleVector]:
+        """The restricted coordinate at each polynomial monomial."""
+        rows: Dict[Tuple[int, int], Dict[PBWMonomial, Scalar]] = {}
+        for (mono, u), c in self.terms.items():
+            rows.setdefault(mono, {})[u] = c
+        return {mono: ModuleVector(row) for mono, row in rows.items()}
 
     def x_degree(self) -> int:
-        return max((p.x_degree() for p, _ in self.pairs), default=-1)
+        return max((a for (a, _), _ in self.terms), default=-1)
 
     def y_degree(self) -> int:
-        return max((p.y_degree() for p, _ in self.pairs), default=-1)
+        return max((b for (_, b), _ in self.terms), default=-1)
 
-
-def tensor_canonical(
-    module: RestrictedModule, pairs: Sequence[Tuple[Poly, object]]
-) -> TensorVector:
-    """Decompose over the monomial basis and drop zero coordinates.
-
-    Expanding every pair over its monomials and merging the restricted
-    vectors per monomial yields the tensor's coordinates with respect to
-    the monomial basis of the polynomial side; this is independent of the
-    incoming presentation, so two equal tensors canonicalize identically.
-    """
-    by_monomial: Dict[Tuple[int, int], object] = {}
-    for p, v in pairs:
-        if module.is_zero(v):
-            continue
-        for mono, coeff in p.terms.items():
-            scaled = module.scale(coeff, v)
-            if mono in by_monomial:
-                by_monomial[mono] = module.add(by_monomial[mono], scaled)
-            else:
-                by_monomial[mono] = scaled
-    rows = [
-        (Poly.monomial(*mono), w)
-        for mono, w in sorted(by_monomial.items())
-        if not module.is_zero(w)
-    ]
-    return TensorVector(rows)
-
-
-def tensor_add(
-    module: RestrictedModule, t1: TensorVector, t2: TensorVector
-) -> TensorVector:
-    return tensor_canonical(module, list(t1.pairs) + list(t2.pairs))
-
-
-def tensor_scale(
-    module: RestrictedModule, coeff: Scalar, t: TensorVector
-) -> TensorVector:
-    if not coeff:
-        return TensorVector(())
-    return tensor_canonical(
-        module, [(p.scale(coeff), v) for p, v in t.pairs]
-    )
-
-
-def tensor_eq(
-    module: RestrictedModule, t1: TensorVector, t2: TensorVector
-) -> bool:
-    difference = tensor_add(module, t1, tensor_scale(module, -ONE, t2))
-    return difference.is_zero()
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        keys = sorted(self.terms, key=lambda key: (key[0], str(key[1])))
+        return " + ".join(
+            f"{Poly.monomial(*mono, self.terms[mono, u])} (x) {u}.w"
+            for mono, u in keys
+        )
 
 
 def tensor_act(
@@ -276,20 +193,16 @@ def tensor_act(
     t: TensorVector,
 ) -> TensorVector:
     """Coproduct action: polynomial side plus restricted side, linearly."""
-    pairs: List[Tuple[Poly, object]] = []
-    for p, v in t.pairs:
-        acted_poly = omega_act(spec, g, p)
-        if acted_poly:
-            pairs.append((acted_poly, v))
-        acted_vec = module.act(g, v)
-        if not module.is_zero(acted_vec):
-            pairs.append((p, acted_vec))
-    return tensor_canonical(module, pairs)
+    pairs = []
+    for mono, v in t.by_monomial().items():
+        p = Poly.monomial(*mono)
+        pairs += [(omega_act(spec, g, p), v), (p, module.act(g, v))]
+    return TensorVector.from_pairs(pairs)
 
 
 def _common_bound(module: RestrictedModule, t: TensorVector) -> int:
     return max(
-        (module.annihilation_bound(v) for _, v in t.pairs),
+        (module.annihilation_bound(v) for v in t.by_monomial().values()),
         default=TrivialModule.SENTINEL_BOUND,
     )
 
@@ -312,10 +225,10 @@ def vandermonde_extract(
         raise ValueError("y_degree must be non-negative")
     base = _common_bound(module, t) + 1
     indices = [base + r for r in range(y_degree + 1)]
-    images = []
-    for m in indices:
-        acted = tensor_act(spec, module, H(m), t)
-        images.append(tensor_scale(module, scalar_pow(spec.lam, -m), acted))
+    images = [
+        tensor_act(spec, module, H(m), t).scale(scalar_pow(spec.lam, -m))
+        for m in indices
+    ]
     vandermonde = Matrix(
         [
             [scalar_pow(Scalar(m), j) for j in range(y_degree + 1)]
@@ -323,28 +236,19 @@ def vandermonde_extract(
         ]
     )
     inverse = matrix_inverse(vandermonde)
-    layers: List[TensorVector] = []
-    for j in range(y_degree + 1):
-        combined: List[Tuple[Poly, object]] = []
-        for r, image in enumerate(images):
-            coeff = inverse.rows[j][r]
-            if coeff:
-                combined.extend(
-                    (p.scale(coeff), v) for p, v in image.pairs
-                )
-        layers.append(tensor_canonical(module, combined))
+    layers = [
+        TensorVector.combine(zip(inverse.rows[j], images))
+        for j in range(y_degree + 1)
+    ]
 
     fresh = base + y_degree + 1
-    reassembled: List[Tuple[Poly, object]] = []
-    for j, layer in enumerate(layers):
-        coeff = scalar_pow(Scalar(fresh), j)
-        reassembled.extend((p.scale(coeff), v) for p, v in layer.pairs)
-    expected = tensor_scale(
-        module,
-        scalar_pow(spec.lam, -fresh),
-        tensor_act(spec, module, H(fresh), t),
+    reassembled = TensorVector.combine(
+        (scalar_pow(Scalar(fresh), j), layer) for j, layer in enumerate(layers)
     )
-    if not tensor_eq(module, tensor_canonical(module, reassembled), expected):
+    expected = tensor_act(spec, module, H(fresh), t).scale(
+        scalar_pow(spec.lam, -fresh)
+    )
+    if reassembled != expected:
         raise DegenerateSystem(
             "the declared y_degree does not reproduce the H-action"
         )
@@ -385,14 +289,14 @@ def tensor_closure_probe(
     two L-actions at distinct indices, checking each step exactly.
     """
     steps: List[str] = []
-    if seed.is_zero():
+    if not seed:
         raise ValueError("seed must be nonzero")
     if spec.variant == "sigma_zero":
         lower_gen: Callable[[int], Generator] = I
-        lower_shift_sign = -1
+        sign = ONE
     elif spec.variant == "zero_sigma":
         lower_gen = J
-        lower_shift_sign = 1
+        sign = -ONE
     else:
         return TensorProbeReport(
             reached_one_tensor=False,
@@ -403,7 +307,7 @@ def tensor_closure_probe(
         )
 
     # Already of the target shape?
-    if len(seed.pairs) == 1 and seed.pairs[0][0].total_degree() == 0:
+    if seed.x_degree() == seed.y_degree() == 0:
         current = seed
         steps.append("seed already a pure tensor 1 (x) w")
     else:
@@ -411,7 +315,7 @@ def tensor_closure_probe(
         layers = vandermonde_extract(spec, module, seed, q)
         current = layers[q]
         steps.append(f"extracted top Y-layer at degree {q}")
-        if current.is_zero():
+        if not current:
             raise AssertionError("top Y-layer vanished; degree bookkeeping bug")
         if current.y_degree() > 0:
             raise AssertionError("top layer still involves Y; bug")
@@ -430,104 +334,66 @@ def tensor_closure_probe(
             degree_before = current.x_degree()
             m = _common_bound(module, current) + 1
             acted = tensor_act(spec, module, lower_gen(m), current)
-            correction = tensor_scale(
-                module, scalar_pow(spec.lam, -m) * sigma_inv, acted
-            )
-            current = tensor_add(
-                module, current, tensor_scale(module, -ONE, correction)
-            )
+            current = current - acted.scale(scalar_pow(spec.lam, -m) * sigma_inv)
             if current.x_degree() != degree_before - 1:
                 raise AssertionError("X-descent failed to drop the degree")
             steps.append(f"lowered X-degree to {current.x_degree()}")
 
-    if current.is_zero() or len(current.pairs) != 1:
-        raise AssertionError("descent should end at a single pure tensor")
-    final_poly, w = current.pairs[0]
-    if final_poly.total_degree() != 0:
-        raise AssertionError("descent should end at a constant polynomial")
-    # Normalize to literally 1 (x) w.
-    w = module.scale(final_poly.coeff(0, 0), w)
+    coordinates = current.by_monomial()
+    if list(coordinates) != [(0, 0)]:
+        raise AssertionError("descent should end at a pure tensor 1 (x) w")
+    w = coordinates[(0, 0)]
     steps.append("reached 1 (x) w")
 
     # Phase 3: regenerate the monomial grid from 1 (x) w.
     bound_w = module.annihilation_bound(w)
     m1, m2 = bound_w + 1, bound_w + 2
-    known: Dict[Tuple[int, int], bool] = {(0, 0): True}
+    known = {(0, 0)}
 
     def reduce_known(t: TensorVector) -> TensorVector:
-        kept = []
-        for p, v in t.pairs:
-            trimmed = Poly(
-                {mon: c for mon, c in p.terms.items() if mon not in known}
-            )
-            if trimmed:
-                kept.append((trimmed, v))
-        return tensor_canonical(module, kept)
+        return TensorVector(
+            {key: c for key, c in t.terms.items() if key[0] not in known}
+        )
 
     def pure(i: int, j: int) -> TensorVector:
-        return tensor_canonical(module, [(Poly.monomial(i, j), w)])
+        return TensorVector.from_pairs([(Poly.monomial(i, j), w)])
+
+    def l_image(m: int, t: TensorVector) -> TensorVector:
+        return reduce_known(
+            tensor_act(spec, module, L(m), t).scale(scalar_pow(spec.lam, -m))
+        )
 
     for level in range(1, monomial_bound + 1):
         for i in range(1, level + 1):
             j = level - i
             parent = pure(i - 1, j)
-            u1 = reduce_known(
-                tensor_scale(
-                    module,
-                    scalar_pow(spec.lam, -m1),
-                    tensor_act(spec, module, L(m1), parent),
-                )
-            )
-            u2 = reduce_known(
-                tensor_scale(
-                    module,
-                    scalar_pow(spec.lam, -m2),
-                    tensor_act(spec, module, L(m2), parent),
-                )
-            )
+            u1 = l_image(m1, parent)
+            u2 = l_image(m2, parent)
             # After reduction both must be supported on exactly the two
             # unknown monomials X^{i-1} Y^{j+1} and X^i Y^j.
-            difference = tensor_add(
-                module, u1, tensor_scale(module, -ONE, u2)
-            )
-            target = tensor_scale(
-                module,
-                Scalar(m2 - m1) * (ONE if spec.variant == "sigma_zero" else -ONE),
-                pure(i, j),
-            )
-            if not tensor_eq(module, difference, target):
+            if u1 - u2 != pure(i, j).scale(Scalar(m2 - m1) * sign):
                 raise AssertionError(
                     f"two-index L step failed at X^{i} Y^{j}"
                 )
-            known[(i, j)] = True
+            known.add((i, j))
             # The sibling monomial falls out of either image for free,
             # unless an earlier step of this level already produced it
             # (then reduction stripped it from u1 and there is nothing
             # left to recover).
             if (i - 1, j + 1) not in known:
-                sibling = tensor_add(
-                    module,
-                    u1,
-                    tensor_scale(
-                        module,
-                        Scalar(m1)
-                        * (ONE if spec.variant == "sigma_zero" else -ONE),
-                        pure(i, j),
-                    ),
-                )
-                if not tensor_eq(module, sibling, pure(i - 1, j + 1)):
+                sibling = u1 + pure(i, j).scale(Scalar(m1) * sign)
+                if sibling != pure(i - 1, j + 1):
                     raise AssertionError(
                         f"sibling recovery failed at X^{i-1} Y^{j+1}"
                     )
-                known[(i - 1, j + 1)] = True
+                known.add((i - 1, j + 1))
         steps.append(f"generated all monomials of total degree {level}")
 
-    generated = sum(1 for _ in known)
     return TensorProbeReport(
         reached_one_tensor=True,
         obstruction=None,
         monomial_bound=monomial_bound,
-        monomials_generated=generated,
+        monomials_generated=len(known),
         steps=steps,
     )
 
@@ -543,13 +409,12 @@ def j_nilpotency_witness(
     results cannot happen for a well-formed module and raise
     ``Inconclusive``.  The zero vector counts as locally finite.
     """
-    if t.is_zero():
+    if not t:
         return "locally_finite"
     base = _common_bound(module, t)
-    outcomes = []
-    for m in range(base + 1, base + 6):
-        image = tensor_act(spec, module, J(m), t)
-        outcomes.append(image.is_zero())
+    outcomes = [
+        not tensor_act(spec, module, J(m), t) for m in range(base + 1, base + 6)
+    ]
     if all(outcomes):
         return "locally_finite"
     if not any(outcomes):

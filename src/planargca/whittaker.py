@@ -250,12 +250,15 @@ class ModuleVector(LinearCombination):
 
     @staticmethod
     def from_json(data: Mapping[str, Union[str, int]]) -> "ModuleVector":
-        return ModuleVector(
-            {
-                PBWMonomial.parse(k): parse_scalar(str(v))
-                for k, v in data.items()
-            }
-        )
+        """Read the ``to_json`` form; two spellings of one monomial are
+        refused, even when one of them carries a zero."""
+        terms: Dict[PBWMonomial, Scalar] = {}
+        for key, value in data.items():
+            mono = PBWMonomial.parse(key)
+            if mono in terms:
+                raise ValueError(f"duplicate coefficient for monomial {mono}")
+            terms[mono] = parse_scalar(str(value))
+        return ModuleVector(terms)
 
 
 Image = Dict[PBWMonomial, Scalar]

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from planargca import cli, whittaker
+from planargca.algebra import H
 from planargca.cli import ConfigError, main, run_command
+from planargca.scalars import sc
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -494,3 +498,192 @@ def test_restricted_whittaker_centrals_must_be_central(tmp_path, capsys):
     assert code == 2
     assert report is None
     assert "centrals key 'J[1]' is not c1, c2 or c3" in capsys.readouterr().err
+
+
+SIGMA_ONE_SPEC = {"variant": "sigma_zero", "lambda": "2", "eta": "0",
+                  "sigma": [{"xexp": 0, "yexp": 0, "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "restricted",
+    [
+        {"kind": "virasoro_style", "inner": {"kind": "trivial"}},
+        {"kind": "heisenberg_virasoro_style",
+         "inner": {"kind": "virasoro_style", "inner": {"kind": "trivial"}}},
+    ],
+)
+def test_lifted_trivial_module_reads_scalar_vectors(tmp_path, restricted):
+    config = {
+        "spec": SIGMA_ONE_SPEC,
+        "restricted": restricted,
+        "seed_pairs": [
+            {"poly": [{"xexp": 1, "yexp": 1, "coeff": "1"}], "vector": "1"},
+            {"poly": [{"xexp": 0, "yexp": 1, "coeff": "1"}], "vector": "-2/3"},
+        ],
+        "monomial_bound": 2,
+    }
+    code, report, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 0
+    assert report["checks"][0]["reached_one_tensor"] is True
+
+
+def test_lifted_trivial_module_refuses_monomial_vectors(tmp_path, capsys):
+    config = {
+        "spec": SIGMA_ONE_SPEC,
+        "restricted": {"kind": "virasoro_style", "inner": {"kind": "trivial"}},
+        "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "1"}],
+                        "vector": {"1": "1"}}],
+        "monomial_bound": 2,
+    }
+    code, report, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 2
+    assert report is None
+    assert "seed_pairs[0].vector" in capsys.readouterr().err
+
+
+TWO_SPELLINGS = [{"I[1]": "1", " I[1]": "2"}, {"I[1]": "1", "I[01]": "2"}]
+
+
+@pytest.mark.parametrize("vector", TWO_SPELLINGS)
+def test_duplicate_monomial_in_expect_witness_rejected(tmp_path, capsys, vector):
+    config = {"m": 1, "n": 2, "values": {"I[2]": "1", "J[2]": "1"},
+              "weight_bound": 3, "expect_witness": vector}
+    code, report, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 2
+    assert report is None
+    assert "expect_witness: duplicate coefficient for monomial I[1]" in (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("vector", TWO_SPELLINGS)
+def test_duplicate_monomial_in_degree_check_vector_rejected(tmp_path, capsys, vector):
+    config = {"m": 2, "n": 2, "values": {"I[3]": "1", "J[3]": "1"},
+              "vector": vector, "case": "JI_i_only"}
+    code, report, _ = run(tmp_path, "degree-check", config)
+    assert code == 2
+    assert report is None
+    assert "vector: duplicate coefficient for monomial I[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vector", TWO_SPELLINGS)
+def test_duplicate_monomial_in_tensor_seed_rejected(tmp_path, capsys, vector):
+    config = {
+        "spec": SIGMA_ONE_SPEC,
+        "restricted": {"kind": "whittaker", "m": 1, "n": 1,
+                       "values": {"I[1]": "1", "J[1]": "1"}},
+        "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "1"}],
+                        "vector": vector}],
+        "monomial_bound": 2,
+    }
+    code, report, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 2
+    assert report is None
+    assert "seed_pairs[0].vector: duplicate coefficient for monomial I[1]" in (
+        capsys.readouterr().err
+    )
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the campaign ran before its config was validated")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"expect_found": "yes"}, "expect_found must be true or false"),
+        ({"expect_witness": ["I[1]"]}, "expect_witness must map monomial strings"),
+        ({"expect_witness": {"I[1]": "1/0"}}, "expect_witness: zero denominator"),
+        ({"expect_witness": TWO_SPELLINGS[1]}, "duplicate coefficient for monomial"),
+    ],
+)
+def test_search_expectations_validated_before_search(
+    tmp_path, capsys, monkeypatch, extra, message
+):
+    monkeypatch.setattr(cli, "singular_vector_search", _refuse_to_run)
+    config = {"m": 1, "n": 1, "values": {"I[1]": "1", "J[1]": "1"},
+              "weight_bound": 2} | extra
+    code, report, _ = run(tmp_path, "whittaker-search", config)
+    assert code == 2
+    assert report is None
+    assert message in capsys.readouterr().err
+
+
+CLOSURE_OK = {"index_bound": 1, "degree_cap": 2,
+              "seeds": [[{"xexp": 1, "yexp": 0, "coeff": "1"}]]}
+
+
+@pytest.mark.parametrize(
+    "closure, message",
+    [
+        (CLOSURE_OK | {"junk": 1}, "closure: unknown keys ['junk']"),
+        (CLOSURE_OK | {"index_bound": 0}, "closure.index_bound must be a positive"),
+        (CLOSURE_OK | {"degree_cap": 2.5}, "closure.degree_cap must be an integer"),
+        (CLOSURE_OK | {"seeds": [[{"xexp": 0, "yexp": 0, "coeff": "0"}]]},
+         "closure.seeds[0] must be nonzero"),
+        (CLOSURE_OK | {"seeds": []}, "closure section supplies no seeds"),
+        (CLOSURE_OK | {"random_seeds": {"count": 1}},
+         "closure.random_seeds: missing keys ['max_degree']"),
+        (CLOSURE_OK | {"expect_contains_one": "true"},
+         "closure.expect_contains_one must be true or false"),
+        ({"index_bound": 1}, "closure: missing keys ['degree_cap']"),
+    ],
+)
+def test_closure_section_validated_before_axiom_sweep(
+    tmp_path, capsys, monkeypatch, closure, message
+):
+    monkeypatch.setattr(cli, "verify_omega_axioms", _refuse_to_run)
+    config = {"spec": SIGMA_ONE_SPEC, "index_bound": 1, "basis_cap": 1,
+              "closure": closure}
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert report is None
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["sigma", "closure"])
+def test_polynomial_record_with_unknown_key_rejected(tmp_path, capsys, where):
+    record = {"xexp": 1, "yexp": 0, "coeff": "1", "junk": 5}
+    config = {"spec": SIGMA_ONE_SPEC, "index_bound": 1, "basis_cap": 1}
+    if where == "sigma":
+        config["spec"] = SIGMA_ONE_SPEC | {"sigma": [record]}
+    else:
+        config["closure"] = CLOSURE_OK | {"seeds": [[record]]}
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert report is None
+    assert "malformed polynomial: unknown keys ['junk']" in capsys.readouterr().err
+
+
+TWIST_21 = {"m": 2, "n": 1,
+            "values": {"I[2]": "1", "J[2]": "2", "L[3]": "1", "L[4]": "3", "H[3]": "5"}}
+
+
+def _twist_with_h_shifted(position):
+    solve = whittaker.solve_twist
+
+    def patched(datum):
+        result = solve(datum)
+        values = dict(result.twisted.values)
+        values[H(position)] = values.get(H(position), sc(0)) + sc(1)
+        twisted = whittaker.validate_whittaker(values, datum.m, datum.n)
+        return dataclasses.replace(result, twisted=twisted)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "position, recomputed, normalized",
+    [(None, True, True), (2, False, True), (3, False, False)],
+)
+def test_twist_checks_cover_h_positions(
+    tmp_path, monkeypatch, position, recomputed, normalized
+):
+    # (m, n) = (2, 1): H[2] is free after the twist and H[3] must vanish.
+    if position is not None:
+        monkeypatch.setattr(cli, "solve_twist", _twist_with_h_shifted(position))
+    code, report, _ = run(tmp_path, "twist", TWIST_21)
+    checks = {check["id"]: check["ok"] for check in report["checks"]}
+    assert checks["twist-recomputation"] is recomputed
+    assert checks["twist-normalization"] is normalized
+    assert code == (0 if recomputed and normalized else 1)

@@ -1,8 +1,8 @@
 """Property tests for the shared sparse linear-combination base.
 
-``Element``, ``EnvelopingElement``, ``ModuleVector`` and ``Poly`` all take
-their vector-space operations from ``scalars.LinearCombination``; each law
-below is checked on all four.
+``Element``, ``EnvelopingElement``, ``ModuleVector``, ``Poly`` and
+``TensorVector`` all take their vector-space operations from
+``scalars.LinearCombination``; each law below is checked on all five.
 """
 
 from functools import reduce
@@ -15,6 +15,7 @@ from planargca.algebra import CENTRALS, Element, Generator, gen_key
 from planargca.pbw import EnvelopingElement, PBWMonomial
 from planargca.poly import Poly
 from planargca.scalars import LinearCombination, Scalar
+from planargca.tensor import TensorVector
 from planargca.whittaker import ModuleVector
 
 GENERATORS = [
@@ -37,6 +38,7 @@ KEYS = {
     EnvelopingElement: monomials,
     ModuleVector: monomials,
     Poly: exponents,
+    TensorVector: st.tuples(exponents, monomials),
 }
 KINDS = list(KEYS)
 HASHABLE = {Poly}

@@ -65,3 +65,15 @@ def test_json_round_trip():
     records = p.to_json()
     assert records == sorted(records, key=lambda r: (r["xexp"], r["yexp"]))
     assert Poly.from_json(records) == p
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"xexp": 1, "yexp": 0, "coeff": "1", "junk": 5},
+        {"xexp": 1, "yexp": 0, "coeff": "1", "Coeff": "2"},
+    ],
+)
+def test_json_rejects_unknown_record_keys(record):
+    with pytest.raises(ValueError, match="unknown keys"):
+        Poly.from_json([record])

@@ -7,22 +7,19 @@ from hypothesis import strategies as st
 
 from planargca.algebra import C1, C2, C3, Generator, H, I, J, L, bracket_basis, gen_key
 from planargca.omega import OmegaSpec
-from planargca.pbw import PBWMonomial
+from planargca.pbw import MONOMIAL_ONE, PBWMonomial
 from planargca.poly import P_ONE, Poly, X, Y
-from planargca.scalars import ONE, ZERO, sc
+from planargca.scalars import ONE, sc
 from planargca.tensor import (
     DegenerateSystem,
+    LiftedModule,
     TensorVector,
     TrivialModule,
     WhittakerRestrictedModule,
     j_nilpotency_witness,
     lift_restricted,
     tensor_act,
-    tensor_add,
-    tensor_canonical,
     tensor_closure_probe,
-    tensor_eq,
-    tensor_scale,
     vandermonde_extract,
 )
 from planargca.whittaker import ModuleVector, validate_whittaker, whittaker_act
@@ -46,49 +43,53 @@ def mono(*factors):
     return PBWMonomial(tuple(factors))
 
 
-def one_tensor(module, w):
-    return tensor_canonical(module, [(P_ONE, w)])
+def cw(value):
+    """The trivial module's vector value * w."""
+    return ModuleVector.cyclic(sc(value))
 
+
+def one_tensor(w):
+    return TensorVector.from_pairs([(P_ONE, w)])
+
+
+# -- canonical form -------------------------------------------------------------
 
 # -- canonical form -------------------------------------------------------------
 
 
 def test_canonical_drops_zero_pairs():
-    module = TrivialModule()
-    t = tensor_canonical(module, [(X, ZERO), (Poly(), sc(1))])
-    assert t.is_zero()
+    t = TensorVector.from_pairs(
+        [(X, ModuleVector.zero()), (Poly(), cw(1)), (Y, cw(0))]
+    )
+    assert not t
+    assert t.terms == {}
 
 
 def test_canonical_merges_dependent_polynomials():
-    module = TrivialModule()
-    t = tensor_canonical(module, [(X, sc(1)), (X.scale(sc(2)), sc(3))])
+    t = TensorVector.from_pairs([(X, cw(1)), (X.scale(sc(2)), cw(3))])
     # X (x) 1 + 2X (x) 3 = X (x) 7.
-    assert len(t.pairs) == 1
-    poly, vector = t.pairs[0]
-    assert poly == X
-    assert vector == sc(7)
+    assert t.terms == {((1, 0), MONOMIAL_ONE): sc(7)}
+    assert t.by_monomial() == {(1, 0): cw(7)}
 
 
 def test_canonical_form_is_presentation_independent():
     # The Y^2 coordinates cancel, so the true tensor is
     # X^3 (x) 1 + X^2 Y (x) 1 and the reported Y-degree must be 1.
-    module = TrivialModule()
-    t = tensor_canonical(
-        module,
-        [(X * X * X + Y * Y, sc(1)), (Y * X * X - Y * Y, sc(1))],
-    )
+    pairs = [(X * X * X + Y * Y, cw(1)), (Y * X * X - Y * Y, cw(1))]
+    t = TensorVector.from_pairs(pairs)
     assert t.y_degree() == 1
-    assert [str(p) for p, _ in t.pairs] == ["(1)X^2Y", "(1)X^3"]
+    assert set(t.terms) == {((2, 1), MONOMIAL_ONE), ((3, 0), MONOMIAL_ONE)}
+    assert TensorVector.from_pairs(reversed(pairs)).terms == t.terms
+    assert str(t) == "(1)X^2Y (x) 1.w + (1)X^3 (x) 1.w"
 
 
 def test_canonical_eq_independent_of_presentation():
-    module = whittaker_module()
     w = ModuleVector.cyclic()
     u = ModuleVector({mono((I(0), 1)): ONE})
-    t1 = tensor_canonical(module, [(X + Y, w), (X, u)])
-    t2 = tensor_canonical(module, [(Y, w), (X, w), (X, u)])
-    assert tensor_eq(module, t1, t2)
-    assert not tensor_eq(module, t1, tensor_scale(module, sc(2), t2))
+    t1 = TensorVector.from_pairs([(X + Y, w), (X, u)])
+    t2 = TensorVector.from_pairs([(Y, w), (X, w), (X, u)])
+    assert t1 == t2
+    assert t1 != t2.scale(sc(2))
 
 
 # -- actions --------------------------------------------------------------------
@@ -97,37 +98,37 @@ def test_canonical_eq_independent_of_presentation():
 def test_trivial_module_reduces_to_polynomial_action():
     module = TrivialModule()
     spec = sigma_zero()
-    t = one_tensor(module, sc(1))
+    t = one_tensor(cw(1))
     from planargca.omega import omega_act
 
     for g in (L(1), H(-2), I(0), J(3)):
         acted = tensor_act(spec, module, g, t)
-        expected = tensor_canonical(module, [(omega_act(spec, g, P_ONE), sc(1))])
-        assert tensor_eq(module, acted, expected)
+        expected = TensorVector.from_pairs([(omega_act(spec, g, P_ONE), cw(1))])
+        assert acted == expected
 
 
 def test_j_kills_both_sides_on_sigma_zero_whittaker():
     module = whittaker_module()
     spec = sigma_zero()
-    t = one_tensor(module, ModuleVector.cyclic())
-    assert tensor_act(spec, module, J(3), t).is_zero()
+    t = one_tensor(ModuleVector.cyclic())
+    assert not tensor_act(spec, module, J(3), t)
 
 
 def test_j_action_on_zero_sigma_trivial():
     module = TrivialModule()
     spec = zero_sigma()
-    t = one_tensor(module, sc(1))
+    t = one_tensor(cw(1))
     acted = tensor_act(spec, module, J(3), t)
-    assert tensor_eq(module, acted, tensor_scale(module, sc(8), t))
+    assert acted == t.scale(sc(8))
 
 
 def test_central_acts_through_restricted_side():
     datum = validate_whittaker({"I[1]": "1", "J[1]": "1", "c1": "1/2"}, 1, 1)
     module = WhittakerRestrictedModule(datum)
     spec = sigma_zero()
-    t = one_tensor(module, ModuleVector.cyclic())
+    t = one_tensor(ModuleVector.cyclic())
     acted = tensor_act(spec, module, C1, t)
-    assert tensor_eq(module, acted, tensor_scale(module, sc(Fraction(1, 2)), t))
+    assert acted == t.scale(sc(Fraction(1, 2)))
 
 
 RICH_DATUM = {
@@ -140,11 +141,19 @@ def axiom_modules():
     rich = WhittakerRestrictedModule(validate_whittaker(RICH_DATUM, 1, 1))
     return [
         TrivialModule(),
+        lift_restricted("virasoro_style", TrivialModule()),
         whittaker_module(),
         rich,
         lift_restricted("virasoro_style", rich),
         lift_restricted("heisenberg_virasoro_style", rich),
     ]
+
+
+def spanned_by_w(module):
+    """Whether the module is the trivial one, lifted or not."""
+    while isinstance(module, LiftedModule):
+        module = module.inner
+    return isinstance(module, TrivialModule)
 
 
 AXIOM_GENERATORS = [
@@ -160,32 +169,41 @@ _small = st.builds(
 _free = st.builds(Generator, st.sampled_from("LHIJ"), st.integers(-1, 0))
 
 
+def draw_poly(draw):
+    return Poly.combine(
+        (draw(_small), Poly.monomial(draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+
+
+def draw_vector(draw, module):
+    if spanned_by_w(module):
+        return ModuleVector.cyclic(draw(_small))
+    return ModuleVector.combine(
+        (
+            draw(_small),
+            ModuleVector.single(PBWMonomial.from_word(
+                sorted(draw(st.lists(_free, max_size=3)), key=gen_key)
+            )),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    )
+
+
+def draw_pairs(draw, module):
+    return [
+        (draw_poly(draw), draw_vector(draw, module))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
 @st.composite
 def axiom_cases(draw):
     spec = draw(st.sampled_from(
         [sigma_zero(eta=sc(1, 3)), zero_sigma(eta=sc(1, 3)), sigma_zero(sigma=X)]
     ))
     module = draw(st.sampled_from(axiom_modules()))
-    pairs = []
-    for _ in range(draw(st.integers(1, 3))):
-        poly = Poly.combine(
-            (draw(_small), Poly.monomial(draw(st.integers(0, 2)), draw(st.integers(0, 2))))
-            for _ in range(draw(st.integers(1, 2)))
-        )
-        if isinstance(module, TrivialModule):
-            vector = draw(_small)
-        else:
-            vector = ModuleVector.combine(
-                (
-                    draw(_small),
-                    ModuleVector.single(PBWMonomial.from_word(
-                        sorted(draw(st.lists(_free, max_size=3)), key=gen_key)
-                    )),
-                )
-                for _ in range(draw(st.integers(1, 2)))
-            )
-        pairs.append((poly, vector))
-    t = tensor_canonical(module, pairs)
+    t = TensorVector.from_pairs(draw_pairs(draw, module))
     brackets = []
     for _ in range(4):
         g1 = draw(st.sampled_from(AXIOM_GENERATORS))
@@ -201,24 +219,57 @@ def axiom_cases(draw):
 @given(axiom_cases())
 def test_tensor_module_axiom_sampled(case):
     # [g1, g2] . t = g1 . g2 . t - g2 . g1 . t on random 1-3-pair tensors,
-    # over the trivial module, two Whittaker modules and both lifts.
+    # over the trivial module, its lift, two Whittaker modules and both
+    # lifts of the richer one.
     spec, module, t, brackets = case
     for g1, g2 in brackets:
-        lhs_pairs = []
-        for g, coeff in bracket_basis(g1, g2).terms.items():
-            lhs_pairs.extend(
-                (p.scale(coeff), v) for p, v in tensor_act(spec, module, g, t).pairs
-            )
-        lhs = tensor_canonical(module, lhs_pairs)
-        rhs = tensor_add(
-            module,
-            tensor_act(spec, module, g1, tensor_act(spec, module, g2, t)),
-            tensor_scale(
-                module, -ONE,
-                tensor_act(spec, module, g2, tensor_act(spec, module, g1, t)),
-            ),
+        lhs = TensorVector.combine(
+            (coeff, tensor_act(spec, module, g, t))
+            for g, coeff in bracket_basis(g1, g2).terms.items()
         )
-        assert tensor_eq(module, lhs, rhs), (str(g1), str(g2))
+        rhs = tensor_act(spec, module, g1, tensor_act(spec, module, g2, t)) - (
+            tensor_act(spec, module, g2, tensor_act(spec, module, g1, t))
+        )
+        assert lhs == rhs, (str(g1), str(g2))
+
+
+@st.composite
+def pair_cases(draw):
+    module = draw(st.sampled_from(axiom_modules()))
+    pairs = draw_pairs(draw, module)
+    p, v = draw_poly(draw), draw_vector(draw, module)
+    q, u = draw_poly(draw), draw_vector(draw, module)
+    split = draw(st.integers(0, len(pairs)))
+    return pairs, split, p, q, v, u, draw(_small)
+
+
+def stores_no_zero(t):
+    return all(t.terms.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair_cases())
+def test_from_pairs_is_bilinear_and_presentation_free(case):
+    pairs, split, p, q, v, u, c = case
+    build = TensorVector.from_pairs
+    # Bilinear in the polynomial and in the restricted vector.
+    assert build([(p + q.scale(c), v)]) == build([(p, v)]) + build([(q, v)]).scale(c)
+    assert build([(p, v + u.scale(c))]) == build([(p, v)]) + build([(p, u)]).scale(c)
+    # Independent of how the input pairs are split, ordered or presented.
+    t = build(pairs)
+    assert build(pairs[:split]) + build(pairs[split:]) == t
+    assert build(reversed(pairs)).terms == t.terms
+    # Each pair (a, b) presented again as (a, b + u) and (a, -u).
+    resplit = [(a, b + u) for a, b in pairs] + [(a, -u) for a, _ in pairs]
+    assert build(resplit) == t
+    assert build(
+        (Poly.monomial(*mono), w) for mono, w in t.by_monomial().items()
+    ) == t
+    # No zero is ever stored, including after exact cancellation.
+    cancelled = build(pairs + [(-a, b) for a, b in pairs])
+    assert cancelled.terms == {}
+    for vector in (t, cancelled, build([(p, v), (q, u)]), build([(p - p, v)])):
+        assert stores_no_zero(vector)
 
 
 # -- Vandermonde extraction -------------------------------------------------------
@@ -228,22 +279,18 @@ def test_vandermonde_linear_example():
     module = whittaker_module()
     spec = sigma_zero()
     w = ModuleVector.cyclic()
-    t = tensor_canonical(module, [(Y, w)])
+    t = TensorVector.from_pairs([(Y, w)])
     layers = vandermonde_extract(spec, module, t, 1)
-    assert tensor_eq(module, layers[0], tensor_canonical(module, [(X * Y, w)]))
-    assert tensor_eq(
-        module, layers[1], tensor_canonical(module, [(X.scale(sc(-1)), w)])
-    )
+    assert layers[0] == TensorVector.from_pairs([(X * Y, w)])
+    assert layers[1] == TensorVector.from_pairs([(X.scale(sc(-1)), w)])
 
 
 def test_vandermonde_constant_case():
     module = whittaker_module()
     spec = sigma_zero()
-    t = one_tensor(module, ModuleVector.cyclic())
+    t = one_tensor(ModuleVector.cyclic())
     layers = vandermonde_extract(spec, module, t, 0)
-    assert tensor_eq(
-        module, layers[0], tensor_canonical(module, [(X, ModuleVector.cyclic())])
-    )
+    assert layers[0] == TensorVector.from_pairs([(X, ModuleVector.cyclic())])
 
 
 def test_vandermonde_top_layer_shape():
@@ -252,42 +299,37 @@ def test_vandermonde_top_layer_shape():
     spec = sigma_zero()
     w = ModuleVector.cyclic()
     u = ModuleVector({mono((I(0), 1)): ONE})
-    t = tensor_canonical(
-        module, [(Y * Y, w), (X * Y * Y, u), (X * Y, w), (P_ONE, u)]
+    t = TensorVector.from_pairs(
+        [(Y * Y, w), (X * Y * Y, u), (X * Y, w), (P_ONE, u)]
     )
     layers = vandermonde_extract(spec, module, t, 2)
-    expected_top = tensor_canonical(
-        module, [(X, w), (X * X, u)]
-    )
-    assert tensor_eq(module, layers[2], expected_top)
+    expected_top = TensorVector.from_pairs([(X, w), (X * X, u)])
+    assert layers[2] == expected_top
 
 
 def test_vandermonde_reassembles_fresh_indices():
     module = whittaker_module()
     spec = sigma_zero(eta=sc(1, 3))
     w = ModuleVector.cyclic()
-    t = tensor_canonical(module, [(X * Y + Y * Y, w), (X, w)])
+    t = TensorVector.from_pairs([(X * Y + Y * Y, w), (X, w)])
     layers = vandermonde_extract(spec, module, t, 2)
     from planargca.scalars import scalar_pow
 
     base = max(module.annihilation_bound(w), 0)
     for fresh in (base + 10, base + 11, base + 13):
-        expected = tensor_scale(
-            module,
-            scalar_pow(spec.lam, -fresh),
-            tensor_act(spec, module, H(fresh), t),
+        expected = tensor_act(spec, module, H(fresh), t).scale(
+            scalar_pow(spec.lam, -fresh)
         )
-        pairs = []
-        for j, layer in enumerate(layers):
-            coeff = scalar_pow(sc(fresh), j)
-            pairs.extend((p.scale(coeff), v) for p, v in layer.pairs)
-        assert tensor_eq(module, tensor_canonical(module, pairs), expected)
+        reassembled = TensorVector.combine(
+            (scalar_pow(sc(fresh), j), layer) for j, layer in enumerate(layers)
+        )
+        assert reassembled == expected
 
 
 def test_vandermonde_rejects_understated_degree():
     module = whittaker_module()
     spec = sigma_zero()
-    t = tensor_canonical(module, [(Y * Y, ModuleVector.cyclic())])
+    t = TensorVector.from_pairs([(Y * Y, ModuleVector.cyclic())])
     with pytest.raises(DegenerateSystem):
         vandermonde_extract(spec, module, t, 1)
 
@@ -298,9 +340,7 @@ def test_vandermonde_rejects_understated_degree():
 def test_closure_probe_reaches_pure_tensor():
     module = whittaker_module()
     spec = sigma_zero()
-    seed = tensor_canonical(
-        module, [(X * X * Y, ModuleVector.cyclic())]
-    )
+    seed = TensorVector.from_pairs([(X * X * Y, ModuleVector.cyclic())])
     report = tensor_closure_probe(spec, module, seed, 3)
     assert report.reached_one_tensor
     assert report.obstruction is None
@@ -310,7 +350,7 @@ def test_closure_probe_reaches_pure_tensor():
 def test_closure_probe_zero_sigma_variant():
     module = TrivialModule()
     spec = zero_sigma(eta=sc(1, 3))
-    seed = tensor_canonical(module, [(X * Y + X, sc(1))])
+    seed = TensorVector.from_pairs([(X * Y + X, cw(1))])
     report = tensor_closure_probe(spec, module, seed, 2)
     assert report.reached_one_tensor
 
@@ -318,7 +358,7 @@ def test_closure_probe_zero_sigma_variant():
 def test_closure_probe_immediate_for_pure_seed():
     module = whittaker_module()
     spec = sigma_zero()
-    seed = one_tensor(module, ModuleVector.cyclic())
+    seed = one_tensor(ModuleVector.cyclic())
     report = tensor_closure_probe(spec, module, seed, 2)
     assert report.reached_one_tensor
     assert "seed already a pure tensor 1 (x) w" in report.steps
@@ -327,9 +367,7 @@ def test_closure_probe_immediate_for_pure_seed():
 def test_closure_probe_reports_nonconstant_sigma_obstruction():
     module = whittaker_module()
     spec = sigma_zero(sigma=X)
-    seed = tensor_canonical(
-        module, [(X * X * Y, ModuleVector.cyclic())]
-    )
+    seed = TensorVector.from_pairs([(X * X * Y, ModuleVector.cyclic())])
     report = tensor_closure_probe(spec, module, seed, 3)
     assert not report.reached_one_tensor
     assert report.obstruction == "sigma is not an invertible constant"
@@ -338,7 +376,7 @@ def test_closure_probe_reports_nonconstant_sigma_obstruction():
 def test_closure_probe_delta_family_obstruction():
     module = TrivialModule()
     spec = OmegaSpec(variant="delta_only", lam=sc(2), delta=X)
-    seed = tensor_canonical(module, [(Y, sc(1))])
+    seed = TensorVector.from_pairs([(Y, cw(1))])
     report = tensor_closure_probe(spec, module, seed, 2)
     assert not report.reached_one_tensor
     assert report.obstruction is not None
@@ -350,33 +388,33 @@ def test_closure_probe_delta_family_obstruction():
 def test_j_witness_locally_finite():
     module = whittaker_module()
     spec = sigma_zero()
-    t = one_tensor(module, ModuleVector.cyclic())
+    t = one_tensor(ModuleVector.cyclic())
     assert j_nilpotency_witness(spec, module, t) == "locally_finite"
 
 
 def test_j_witness_injective_tail():
     module = TrivialModule()
     spec = zero_sigma()
-    t = one_tensor(module, sc(1))
+    t = one_tensor(cw(1))
     assert j_nilpotency_witness(spec, module, t) == "injective_tail"
 
 
 def test_j_witness_zero_vector_convention():
     module = TrivialModule()
     spec = zero_sigma()
-    assert j_nilpotency_witness(spec, module, TensorVector(())) == "locally_finite"
+    assert j_nilpotency_witness(spec, module, TensorVector()) == "locally_finite"
 
 
 def test_j_witness_separates_variants_on_samples():
     whit = whittaker_module()
     cases = [
         (sigma_zero(), whit, ModuleVector.cyclic(), "locally_finite"),
-        (sigma_zero(eta=sc(1, 3)), TrivialModule(), sc(1), "locally_finite"),
+        (sigma_zero(eta=sc(1, 3)), TrivialModule(), cw(1), "locally_finite"),
         (zero_sigma(), whit, ModuleVector.cyclic(), "injective_tail"),
-        (zero_sigma(eta=sc(1, 3)), TrivialModule(), sc(1), "injective_tail"),
+        (zero_sigma(eta=sc(1, 3)), TrivialModule(), cw(1), "injective_tail"),
     ]
     for spec, module, w, expected in cases:
-        t = tensor_canonical(module, [(X + P_ONE, w), (Y, w)])
+        t = TensorVector.from_pairs([(X + P_ONE, w), (Y, w)])
         assert j_nilpotency_witness(spec, module, t) == expected
 
 
@@ -387,8 +425,8 @@ def test_lift_trivial():
     module = lift_restricted("trivial")
     assert isinstance(module, TrivialModule)
     for g in (L(0), H(5), I(-2), J(1), C1):
-        assert module.is_zero(module.act(g, sc(1)))
-    assert module.annihilation_bound(sc(1)) == TrivialModule.SENTINEL_BOUND
+        assert not module.act(g, cw(1))
+    assert module.annihilation_bound(cw(1)) == TrivialModule.SENTINEL_BOUND
 
 
 def test_whittaker_handle_delegates():
@@ -400,7 +438,7 @@ def test_whittaker_handle_delegates():
     for fam in "LHIJ":
         for extra in range(1, 5):
             g = Generator(fam, bound + extra)
-            assert module.is_zero(module.act(g, v))
+            assert not module.act(g, v)
 
 
 def test_virasoro_lift_kills_families_and_keeps_axioms():
@@ -408,7 +446,7 @@ def test_virasoro_lift_kills_families_and_keeps_axioms():
     module = lift_restricted("virasoro_style", inner)
     v = ModuleVector.cyclic()
     for g in (H(0), I(0), J(-1), C2, Generator("c3")):
-        assert module.is_zero(module.act(g, v))
+        assert not module.act(g, v)
     assert module.act(L(-1), v) == inner.act(L(-1), v)
     # Bracket relations survive because the killed span is an ideal.
     rng = random.Random(6)
@@ -429,7 +467,7 @@ def test_heisenberg_virasoro_lift_keeps_h():
     inner = whittaker_module()
     module = lift_restricted("heisenberg_virasoro_style", inner)
     v = ModuleVector.cyclic()
-    assert module.is_zero(module.act(I(0), v))
+    assert not module.act(I(0), v)
     assert module.act(H(0), v) == inner.act(H(0), v)
 
 
@@ -447,20 +485,11 @@ def test_j_action_keeps_polynomial_parts_on_sigma_zero():
     module = WhittakerRestrictedModule(datum)
     spec = sigma_zero()
     u = ModuleVector({mono((J(0), 1)): ONE})
-    t = tensor_canonical(module, [(X * Y, u), (Y + P_ONE, u)])
+    t = TensorVector.from_pairs([(X * Y, u), (Y + P_ONE, u)])
     for m in (-1, 0, 1):
         acted = tensor_act(spec, module, J(m), t)
-        for p, _ in acted.pairs:
-            # Every polynomial part lies in the span of the input parts.
-            assert tensor_canonical(
-                module, [(p, ModuleVector.cyclic())]
-            ).pairs[0][0] in {
-                q for q, _ in tensor_canonical(
-                    module,
-                    [(X * Y, ModuleVector.cyclic()),
-                     (Y + P_ONE, ModuleVector.cyclic())],
-                ).pairs
-            }
+        # Every polynomial part lies in the span of the input parts.
+        assert set(acted.by_monomial()) <= {(1, 1), (0, 1), (0, 0)}
 
 
 def test_equal_parameters_give_identical_action_tables():
@@ -475,12 +504,12 @@ def test_equal_parameters_give_identical_action_tables():
     module_a = TrivialModule()
     module_b = TrivialModule()
     probes = [
-        tensor_canonical(module_a, [(P_ONE, sc(1))]),
-        tensor_canonical(module_a, [(X * Y, sc(1)), (Y, sc(2))]),
+        TensorVector.from_pairs([(P_ONE, cw(1))]),
+        TensorVector.from_pairs([(X * Y, cw(1)), (Y, cw(2))]),
     ]
     gens = [L(2), L(-1), H(0), I(1), J(3), C1]
     for t in probes:
         for g in gens:
             left = tensor_act(first, module_a, g, t)
             right = tensor_act(second, module_b, g, t)
-            assert tensor_eq(module_a, left, right)
+            assert left == right

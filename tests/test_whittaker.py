@@ -115,6 +115,29 @@ def test_datum_json_round_trip():
     assert data["centrals"] == {"c2": "1/3"}
 
 
+def test_module_vector_json_round_trip():
+    v = ModuleVector({
+        PBWMonomial.parse("I[0]"): sc(2),
+        PBWMonomial.parse("J[-1]^2"): sc(-1, 3),
+        PBWMonomial.parse("1"): sc(0, 1),
+    })
+    assert ModuleVector.from_json(v.to_json()) == v
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"I[1]": "1", " I[1]": "2"},
+        {"I[1]": "1", "I[01]": "2"},
+        {"I[1]": "0", "I[01]": "2"},
+        {"1": "3", "": "1"},
+    ],
+)
+def test_module_vector_json_rejects_two_spellings_of_one_monomial(data):
+    with pytest.raises(ValueError, match="duplicate coefficient for monomial"):
+        ModuleVector.from_json(data)
+
+
 # -- module action -------------------------------------------------------------
 
 
