@@ -43,6 +43,7 @@ __all__ = [
     "C3",
     "CENTRALS",
     "gen_key",
+    "generators_up_to",
     "gen_str",
     "parse_gen",
     "Element",
@@ -270,7 +271,8 @@ class StructureReport:
         return not self.violations
 
 
-def _generators_up_to(index_bound: int) -> List[Generator]:
+def generators_up_to(index_bound: int) -> List[Generator]:
+    """L, H, I, J at every index of magnitude up to the bound, then c1..c3."""
     gens: List[Generator] = []
     for fam in ("L", "H", "I", "J"):
         for idx in range(-index_bound, index_bound + 1):
@@ -282,7 +284,7 @@ def _generators_up_to(index_bound: int) -> List[Generator]:
 def verify_jacobi(index_bound: int) -> StructureReport:
     """Check the Jacobi identity on all generator triples up to the bound."""
     report = StructureReport(index_bound=index_bound)
-    gens = _generators_up_to(index_bound)
+    gens = generators_up_to(index_bound)
     for a, b, c in itertools.combinations_with_replacement(gens, 3):
         total = (
             bracket(Element.single(a), bracket_basis(b, c))
@@ -298,7 +300,7 @@ def verify_jacobi(index_bound: int) -> StructureReport:
 def verify_structure(index_bound: int) -> StructureReport:
     """Antisymmetry, Jacobi, and grading checks in one exhaustive pass."""
     report = verify_jacobi(index_bound)
-    gens = _generators_up_to(index_bound)
+    gens = generators_up_to(index_bound)
     for a, b in itertools.combinations_with_replacement(gens, 2):
         forward = bracket_basis(a, b)
         backward = bracket_basis(b, a)

@@ -2,25 +2,19 @@
 
 Each family makes the polynomial ring in X, Y into a module.  With a nonzero
 scalar ``lam``, a scalar ``eta`` and a nonzero univariate polynomial
-``sigma(X)`` (or ``delta(X)`` for the third family), the generator actions
-on ``f(X, Y)`` are:
+``sigma(X)`` (or ``delta(X)`` for the third family), every family acts on
+``f(X, Y)`` by
 
-``sigma_zero``
-    L_m f = lam^m * f(X, Y-m) * (Y - m*X + m*eta)
-    H_m f = lam^m * X * f(X, Y-m)
-    I_m f = lam^m * sigma(X) * f(X-1, Y-m)
-    J_m f = 0
-
-``zero_sigma``
-    L_m f = lam^m * f(X, Y-m) * (Y + m*X + m*eta)
-    H_m f = lam^m * X * f(X, Y-m)
-    J_m f = lam^m * sigma(X) * f(X+1, Y-m)
-    I_m f = 0
-
-``delta_only``
     L_m f = lam^m * f(X, Y-m) * (Y + m*delta(X))
     H_m f = lam^m * X * f(X, Y-m)
-    I_m f = J_m f = 0
+
+and the families differ only in delta and in which of I and J acts by sigma
+(the other, and both for ``delta_only``, act as zero):
+
+    variant       delta(X)        sigma acts through
+    sigma_zero    eta - X         I_m f = lam^m * sigma(X) * f(X-1, Y-m)
+    zero_sigma    eta + X         J_m f = lam^m * sigma(X) * f(X+1, Y-m)
+    delta_only    the given delta  --
 
 The central elements act as zero in all three families.  Module parameters
 are restricted to Gaussian rationals so that every check is exact.
@@ -36,12 +30,13 @@ reduced echelon basis of the span it found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Generator, bracket_basis
+from .algebra import Generator, bracket_basis, generators_up_to
 from .linalg import SparseEchelon
 from .poly import P_ONE, P_ZERO, Poly
-from .scalars import ONE, ZERO, Scalar, scalar_pow
+from .scalars import ZERO, Scalar, scalar_pow
 
 __all__ = [
     "InvalidSpec",
@@ -54,7 +49,10 @@ __all__ = [
     "submodule_closure_probe",
 ]
 
-VARIANTS = ("sigma_zero", "zero_sigma", "delta_only")
+# Per variant, the family sigma acts through and the X-shift dx of its
+# argument, f(X+dx, Y-m) (see the table above); None when neither does.
+_SIGMA_SLOTS = {"sigma_zero": ("I", -1), "zero_sigma": ("J", 1), "delta_only": None}
+VARIANTS = tuple(_SIGMA_SLOTS)
 
 
 class InvalidSpec(ValueError):
@@ -89,37 +87,45 @@ class OmegaSpec:
             if not self.sigma.is_univariate_in_x():
                 raise InvalidSpec("sigma must be a polynomial in X alone")
 
+    @property
+    def sigma_slot(self) -> Optional[Tuple[str, int]]:
+        """``(family, dx)``: that family acts by sigma(X) f(X+dx, Y-m).
+
+        ``None`` for ``delta_only``, where neither I nor J acts.
+        """
+        return _SIGMA_SLOTS[self.variant]
+
+    @cached_property
+    def l_delta(self) -> Poly:
+        """The delta(X) in L_m f = lam^m f(X, Y-m) (Y + m delta(X)).
+
+        In both sigma families it is eta + dx X, with dx from ``sigma_slot``.
+        """
+        if self.sigma_slot is None:
+            return self.delta
+        return Poly({(1, 0): Scalar(self.sigma_slot[1]), (0, 0): self.eta})
+
 
 def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
-    """Action of one generator on a polynomial, per the tables above."""
+    """Action of one generator on a polynomial, per the table above.
+
+    Each action is a multiplier, lam^m folded in, times f(X+dx, Y-m).
+    """
     if g.is_central:
         return P_ZERO
     m = g.index
     lam_m = scalar_pow(spec.lam, m)
-    if g.family == "H":
-        return Poly.monomial(1, 0, lam_m) * f.shift(ZERO, Scalar(-m))
+    slot = spec.sigma_slot
+    dx = ZERO
     if g.family == "L":
-        shifted = f.shift(ZERO, Scalar(-m))
-        if spec.variant == "sigma_zero":
-            linear = Poly(
-                {(0, 1): ONE, (1, 0): Scalar(-m), (0, 0): Scalar(m) * spec.eta}
-            )
-        elif spec.variant == "zero_sigma":
-            linear = Poly(
-                {(0, 1): ONE, (1, 0): Scalar(m), (0, 0): Scalar(m) * spec.eta}
-            )
-        else:
-            linear = Poly({(0, 1): ONE}) + spec.delta.scale(Scalar(m))
-        return (shifted * linear).scale(lam_m)
-    if g.family == "I":
-        if spec.variant != "sigma_zero":
-            return P_ZERO
-        return (spec.sigma * f.shift(Scalar(-1), Scalar(-m))).scale(lam_m)
-    if g.family == "J":
-        if spec.variant != "zero_sigma":
-            return P_ZERO
-        return (spec.sigma * f.shift(ONE, Scalar(-m))).scale(lam_m)
-    raise AssertionError(f"unhandled generator {g}")
+        multiplier = Poly.monomial(0, 1, lam_m) + spec.l_delta.scale(Scalar(m) * lam_m)
+    elif g.family == "H":
+        multiplier = Poly.monomial(1, 0, lam_m)
+    elif slot is not None and g.family == slot[0]:
+        multiplier, dx = spec.sigma.scale(lam_m), Scalar(slot[1])
+    else:
+        return P_ZERO
+    return multiplier * f.shift(dx, Scalar(-m))
 
 
 def degree_raise(spec: OmegaSpec, g: Generator) -> Optional[int]:
@@ -134,10 +140,9 @@ def degree_raise(spec: OmegaSpec, g: Generator) -> Optional[int]:
     if g.family == "H":
         return 1
     if g.family == "L":
-        if spec.variant == "delta_only" and g.index:
-            return max(1, spec.delta.total_degree())
-        return 1
-    if (g.family, spec.variant) in (("I", "sigma_zero"), ("J", "zero_sigma")):
+        return max(1, spec.l_delta.total_degree()) if g.index else 1
+    slot = spec.sigma_slot
+    if slot is not None and g.family == slot[0]:
         return spec.sigma.total_degree()
     return None
 
@@ -194,11 +199,7 @@ def verify_omega_axioms(
     cap.  Exact equality is required.
     """
     report = OmegaAxiomReport(index_bound=index_bound, basis_cap=basis_cap)
-    gens: List[Generator] = []
-    for fam in ("L", "H", "I", "J"):
-        for idx in range(-index_bound, index_bound + 1):
-            gens.append(Generator(fam, idx))
-    gens.extend((Generator("c1"), Generator("c2"), Generator("c3")))
+    gens = generators_up_to(index_bound)
     monomials = [
         Poly.monomial(a, b)
         for a in range(basis_cap + 1)

@@ -28,19 +28,14 @@ __all__ = [
 ]
 
 
-def random_scalar(rng: random.Random, with_imaginary: bool = False) -> Scalar:
-    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    im = Fraction(0)
-    if with_imaginary and rng.random() < 0.3:
-        im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-    return Scalar(re, im)
+def random_scalar(rng: random.Random) -> Scalar:
+    """A small real rational."""
+    return Scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
 
-def random_nonzero_scalar(
-    rng: random.Random, with_imaginary: bool = False
-) -> Scalar:
+def random_nonzero_scalar(rng: random.Random) -> Scalar:
     while True:
-        value = random_scalar(rng, with_imaginary)
+        value = random_scalar(rng)
         if value:
             return value
 
@@ -64,11 +59,10 @@ def random_poly(
             return candidate
 
 
-def random_generator(
-    rng: random.Random, index_bound: int, include_centrals: bool = True
-) -> Generator:
+def random_generator(rng: random.Random, index_bound: int) -> Generator:
+    """A central with probability 0.1, else an indexed generator."""
     families = ["L", "H", "I", "J"]
-    if include_centrals and rng.random() < 0.1:
+    if rng.random() < 0.1:
         return CENTRALS[rng.randint(0, 2)]
     family = families[rng.randint(0, 3)]
     return Generator(family, rng.randint(-index_bound, index_bound))
@@ -88,16 +82,16 @@ def random_block_vector(
     datum: WhittakerDatum,
     block: str,
     max_exponent: int = 2,
-    max_terms: int = 3,
 ) -> ModuleVector:
-    """Nonzero vector supported on one two-family block, never pure-cyclic."""
+    """Nonzero vector of one to three terms on one two-family block, never
+    pure-cyclic."""
     families = ("J", "I") if block == "JI" else ("H", "L")
     block_length = datum.n if block == "JI" else datum.m
     if block_length < 1:
         raise ValueError("block is empty for this datum")
     while True:
         terms = {}
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 3)):
             factors: List[Tuple[Generator, int]] = []
             for family in families:
                 for idx in range(block_length):

@@ -31,14 +31,14 @@ probe reports that obstruction instead of forcing an answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .algebra import Generator, H, I, J, L
+from .algebra import Generator, H, J, L
 from .linalg import Matrix, matrix_inverse
 from .omega import OmegaSpec, omega_act
-from .pbw import PBWMonomial
+from .pbw import MONOMIAL_ONE, PBWMonomial
 from .poly import Poly
-from .scalars import ONE, LinearCombination, Scalar, accumulate, scalar_pow
+from .scalars import LinearCombination, Scalar, accumulate, scalar_pow
 from .whittaker import ModuleVector, WhittakerDatum, annihilation_bound, whittaker_act
 
 __all__ = [
@@ -81,16 +81,24 @@ class RestrictedModule:
 
 
 class TrivialModule(RestrictedModule):
-    """The one-dimensional module c.w on which every generator acts as zero."""
+    """The one-dimensional module c.w on which every generator acts as zero;
+    both methods refuse a vector with any monomial other than 1."""
 
     # Any bound works since all generators act by zero; -1 stands in for
     # "annihilated from the start" while keeping power computations small.
     SENTINEL_BOUND = -1
 
+    @staticmethod
+    def _require_multiple_of_w(v: ModuleVector) -> None:
+        if any(u != MONOMIAL_ONE for u in v.terms):
+            raise ValueError(f"{v} is not a multiple of w in the trivial module")
+
     def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
+        self._require_multiple_of_w(v)
         return ModuleVector.zero()
 
     def annihilation_bound(self, v: ModuleVector) -> int:
+        self._require_multiple_of_w(v)
         return self.SENTINEL_BOUND
 
 
@@ -264,14 +272,6 @@ class TensorProbeReport:
     steps: List[str]
 
 
-def _constant_sigma(spec: OmegaSpec) -> Optional[Scalar]:
-    if spec.sigma is None:
-        return None
-    if spec.sigma.total_degree() > 0:
-        return None
-    return spec.sigma.coeff(0, 0)
-
-
 def tensor_closure_probe(
     spec: OmegaSpec,
     module: RestrictedModule,
@@ -291,13 +291,7 @@ def tensor_closure_probe(
     steps: List[str] = []
     if not seed:
         raise ValueError("seed must be nonzero")
-    if spec.variant == "sigma_zero":
-        lower_gen: Callable[[int], Generator] = I
-        sign = ONE
-    elif spec.variant == "zero_sigma":
-        lower_gen = J
-        sign = -ONE
-    else:
+    if spec.sigma_slot is None:
         return TensorProbeReport(
             reached_one_tensor=False,
             obstruction="the delta family has no inverse shift generator",
@@ -305,6 +299,8 @@ def tensor_closure_probe(
             monomials_generated=0,
             steps=["aborted: no I/J action available"],
         )
+    family, dx = spec.sigma_slot
+    sign = Scalar(-dx)
 
     # Already of the target shape?
     if seed.x_degree() == seed.y_degree() == 0:
@@ -320,8 +316,7 @@ def tensor_closure_probe(
         if current.y_degree() > 0:
             raise AssertionError("top layer still involves Y; bug")
 
-        sigma_const = _constant_sigma(spec)
-        if sigma_const is None:
+        if spec.sigma.total_degree() > 0:
             return TensorProbeReport(
                 reached_one_tensor=False,
                 obstruction="sigma is not an invertible constant",
@@ -329,11 +324,11 @@ def tensor_closure_probe(
                 monomials_generated=0,
                 steps=steps + ["X-descent unavailable"],
             )
-        sigma_inv = sigma_const.inverse()
+        sigma_inv = spec.sigma.coeff(0, 0).inverse()
         while current.x_degree() > 0:
             degree_before = current.x_degree()
             m = _common_bound(module, current) + 1
-            acted = tensor_act(spec, module, lower_gen(m), current)
+            acted = tensor_act(spec, module, Generator(family, m), current)
             current = current - acted.scale(scalar_pow(spec.lam, -m) * sigma_inv)
             if current.x_degree() != degree_before - 1:
                 raise AssertionError("X-descent failed to drop the degree")

@@ -373,7 +373,8 @@ def test_criterion_7_degree_machinery():
                     )
                 else:
                     case = "JI_i_only" if block == "JI" else "HL_l_only"
-                report = check_degree_reduction(datum, v, case)
+                report = check_degree_reduction(datum, v, block)
+                assert report.case == case
                 assert report.ok, (m, n, block, str(v))
     print(
         "PASS criterion-7: principal order laws and 300 degree-drop checks, "

@@ -74,6 +74,29 @@ def test_whittaker_search_reports_witness(tmp_path):
     assert search["witness"] == {"I[1]": "1", "J[1]": "1"}
 
 
+@pytest.mark.parametrize(
+    "expected, code",
+    [
+        ({"I[1]": "1", "J[1]": "1"}, 0),
+        # A singular vector is a line: any nonzero multiple of the witness
+        # names the same one.
+        ({"I[1]": "2", "J[1]": "2"}, 0),
+        ({"I[1]": "-1/3", "J[1]": "-1/3"}, 0),
+        ({"I[1]": "1", "J[1]": "2"}, 1),
+        ({"I[1]": "1"}, 1),
+        ({"I[1]": "1", "J[1]": "1", "I[1]^2": "1"}, 1),
+    ],
+)
+def test_expect_witness_compares_rays(tmp_path, expected, code):
+    config = {"m": 1, "n": 2, "values": {"I[2]": "1", "J[2]": "1"},
+              "weight_bound": 3, "expect_witness": expected}
+    got, report, _ = run(tmp_path, "whittaker-search", config)
+    assert got == code
+    check = next(c for c in report["checks"] if c["id"] == "expected-witness")
+    assert check["ok"] is (code == 0)
+    assert check["expected"] == expected
+
+
 def test_failed_expectation_exits_one(tmp_path):
     code, report, _ = run(
         tmp_path,
@@ -182,6 +205,25 @@ def test_degree_check_explicit_vector(tmp_path):
     code, report, _ = run(tmp_path, "degree-check", config)
     assert code == 0
     assert report["checks"][0]["ok"]
+
+
+@pytest.mark.parametrize(
+    "vector, case, message",
+    [
+        ({"J[0]": "1"}, "JI_i_only", "the vector is in case JI_j_nonzero"),
+        ({"I[1]": "1"}, "JI_j_nonzero", "the vector is in case JI_i_only"),
+        ({"J[0]": "1"}, "JI_j_only", "not 'JI_j_only'"),
+        ({"J[0]": "1"}, "j_nonzero", "unknown case 'j_nonzero'"),
+        ({"J[0]": "1"}, 3, "unknown case 3"),
+    ],
+)
+def test_degree_check_refuses_case_not_of_vector(tmp_path, capsys, vector, case, message):
+    config = {"m": 2, "n": 2, "values": {"I[3]": "1", "J[3]": "1"},
+              "vector": vector, "case": case}
+    code, report, _ = run(tmp_path, "degree-check", config)
+    assert code == 2
+    assert report is None
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -595,6 +637,8 @@ def _refuse_to_run(*args, **kwargs):
         ({"expect_witness": ["I[1]"]}, "expect_witness must map monomial strings"),
         ({"expect_witness": {"I[1]": "1/0"}}, "expect_witness: zero denominator"),
         ({"expect_witness": TWO_SPELLINGS[1]}, "duplicate coefficient for monomial"),
+        ({"expect_witness": {}}, "expect_witness must be nonzero"),
+        ({"expect_witness": {"I[1]": "0"}}, "expect_witness must be nonzero"),
     ],
 )
 def test_search_expectations_validated_before_search(

@@ -1,7 +1,10 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planargca.algebra import C1, CENTRALS, Generator, H, I, J, L
 from planargca.linalg import SparseEchelon
@@ -179,6 +182,66 @@ def test_degree_raise_matches_action(spec):
                 assert not image, (g, f)
             else:
                 assert image.total_degree() == f.total_degree() + rise, (g, f)
+
+
+def original_table(spec, g, f):
+    """The three action tables as first written, one per variant."""
+    if g.is_central:
+        return P_ZERO
+    m = g.index
+    lam_m = spec.lam ** m
+    shifted = f.shift(sc(0), sc(-m))
+    if g.family == "H":
+        return (X * shifted).scale(lam_m)
+    if g.family == "L":
+        if spec.variant == "sigma_zero":
+            linear = Y - X.scale(sc(m)) + Poly.constant(sc(m) * spec.eta)
+        elif spec.variant == "zero_sigma":
+            linear = Y + X.scale(sc(m)) + Poly.constant(sc(m) * spec.eta)
+        else:
+            linear = Y + spec.delta.scale(sc(m))
+        return (shifted * linear).scale(lam_m)
+    if g.family == "I":
+        if spec.variant != "sigma_zero":
+            return P_ZERO
+        return (spec.sigma * f.shift(sc(-1), sc(-m))).scale(lam_m)
+    if spec.variant != "zero_sigma":
+        return P_ZERO
+    return (spec.sigma * f.shift(sc(1), sc(-m))).scale(lam_m)
+
+
+def draw_scalar(data, nonzero=False):
+    re = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+    im = Fraction(data.draw(st.integers(-2, 2)), data.draw(st.integers(1, 2)))
+    value = sc(re, im)
+    return value if value or not nonzero else sc(1)
+
+
+def draw_poly(data, max_degree, univariate):
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        a = data.draw(st.integers(0, max_degree))
+        b = 0 if univariate else data.draw(st.integers(0, max_degree - a))
+        terms[(a, b)] = draw_scalar(data)
+    return Poly(terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_omega_act_matches_original_tables(data):
+    variant = data.draw(st.sampled_from(["sigma_zero", "zero_sigma", "delta_only"]))
+    lam = draw_scalar(data, nonzero=True)
+    if variant == "delta_only":
+        spec = delta_only(lam=lam, delta=draw_poly(data, 2, univariate=True))
+    else:
+        sigma = draw_poly(data, 2, univariate=True) or P_ONE
+        spec = OmegaSpec(variant=variant, lam=lam, eta=draw_scalar(data), sigma=sigma)
+    family = data.draw(st.sampled_from(["L", "H", "I", "J", "c1", "c2", "c3"]))
+    g = Generator(family) if family.startswith("c") else Generator(
+        family, data.draw(st.integers(-4, 4))
+    )
+    f = draw_poly(data, 3, univariate=False)
+    assert omega_act(spec, g, f) == original_table(spec, g, f)
 
 
 @pytest.mark.parametrize(

@@ -429,6 +429,21 @@ def test_lift_trivial():
     assert module.annihilation_bound(cw(1)) == TrivialModule.SENTINEL_BOUND
 
 
+def test_trivial_module_refuses_vectors_outside_cw():
+    outside = ModuleVector.single(PBWMonomial(((I(0), 1),)))
+    for module in (TrivialModule(), lift_restricted("virasoro_style", TrivialModule())):
+        with pytest.raises(ValueError, match="not a multiple of w"):
+            module.annihilation_bound(outside)
+        with pytest.raises(ValueError, match="not a multiple of w"):
+            module.act(L(1), outside)
+        with pytest.raises(ValueError, match="not a multiple of w"):
+            tensor_closure_probe(
+                sigma_zero(), module, TensorVector.from_pairs([(X * Y, outside)]), 2
+            )
+        assert not module.act(L(1), cw(3))
+        assert not module.act(L(1), ModuleVector.zero())
+
+
 def test_whittaker_handle_delegates():
     datum = validate_whittaker({"I[1]": "1", "J[1]": "1"}, 1, 1)
     module = WhittakerRestrictedModule(datum)

@@ -76,6 +76,26 @@ def test_validate_rejects_forced_zero_position():
         validate_whittaker({"H[2]": "1"}, 1, 1)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_validate_accepts_exactly_the_support(m, n):
+    datum = validate_whittaker({}, m, n)
+    support = datum.support()
+    assert len(support) == len(set(support)) == 4 * m + 1
+    bound = 2 * m + n + 3
+    for family in "LHIJ":
+        for index in range(-1, bound + 1):
+            g = Generator(family, index)
+            if not datum.in_subalgebra(g):
+                continue
+            try:
+                validate_whittaker({g: "1"}, m, n)
+                accepted = True
+            except DerivedAlgebraViolation:
+                accepted = False
+            assert accepted == (g in support), g
+
+
 def test_validate_rejects_outside_subalgebra():
     with pytest.raises(OutOfSubalgebra):
         validate_whittaker({"L[0]": "1"}, 1, 1)
@@ -508,7 +528,8 @@ def psi_22():
 def test_degree_drop_j_case():
     datum = psi_22()
     v = vec((mono((J(0), 1)), ONE))
-    report = check_degree_reduction(datum, v, "JI_j_nonzero")
+    report = check_degree_reduction(datum, v, "JI")
+    assert report.case == "JI_j_nonzero"
     assert report.ok
     assert report.operators == ["H[3]"]
     assert report.predicted == ((0, 0), (0, 0))
@@ -517,7 +538,8 @@ def test_degree_drop_j_case():
 def test_degree_drop_i_case_disjunction():
     datum = psi_22()
     v = vec((mono((I(1), 1)), ONE))
-    report = check_degree_reduction(datum, v, "JI_i_only")
+    report = check_degree_reduction(datum, v, "JI")
+    assert report.case == "JI_i_only"
     assert report.ok
     assert report.operators == ["H[2]", "L[2]"]
     assert report.predicted == ((0, 0), (0, 0))
@@ -527,21 +549,21 @@ def test_degree_drop_i_case_disjunction():
 def test_degree_drop_rejects_cyclic_vector():
     datum = psi_11()
     with pytest.raises(PreconditionViolated):
-        check_degree_reduction(datum, ModuleVector.cyclic(), "JI_j_nonzero")
+        check_degree_reduction(datum, ModuleVector.cyclic(), "JI")
 
 
 def test_degree_drop_requires_nonzero_top_values():
     datum = validate_whittaker({"J[3]": "1"}, 2, 2)
     v = vec((mono((J(0), 1)), ONE))
     with pytest.raises(PreconditionViolated):
-        check_degree_reduction(datum, v, "JI_j_nonzero")
+        check_degree_reduction(datum, v, "JI")
 
 
 def test_degree_drop_requires_same_parity():
     datum = validate_whittaker({"I[2]": "1", "J[2]": "1"}, 1, 2)
     v = vec((mono((J(0), 1)), ONE))
     with pytest.raises(PreconditionViolated):
-        check_degree_reduction(datum, v, "JI_j_nonzero")
+        check_degree_reduction(datum, v, "JI")
 
 
 def test_degree_drop_hl_requires_normalization():
@@ -550,16 +572,18 @@ def test_degree_drop_hl_requires_normalization():
     )
     v = vec((mono((L(0), 1)), ONE))
     with pytest.raises(PreconditionViolated):
-        check_degree_reduction(datum, v, "HL_l_only")
+        check_degree_reduction(datum, v, "HL")
 
 
 def test_degree_drop_hl_cases():
     datum = psi_11()
     h_vec = vec((mono((H(0), 1)), ONE))
-    report = check_degree_reduction(datum, h_vec, "HL_h_nonzero")
+    report = check_degree_reduction(datum, h_vec, "HL")
+    assert report.case == "HL_h_nonzero"
     assert report.ok and report.operators == ["I[1]"]
     l_vec = vec((mono((L(0), 1)), ONE))
-    report = check_degree_reduction(datum, l_vec, "HL_l_only")
+    report = check_degree_reduction(datum, l_vec, "HL")
+    assert report.case == "HL_l_only"
     assert report.ok and report.operators == ["I[1]", "J[1]"]
 
 
@@ -579,7 +603,8 @@ def test_degree_drop_random_vectors(m, n):
                 case = f"{block}_{'j' if block == 'JI' else 'h'}_nonzero"
             else:
                 case = f"{block}_{'i' if block == 'JI' else 'l'}_only"
-            report = check_degree_reduction(datum, v, case)
+            report = check_degree_reduction(datum, v, block)
+            assert report.case == case
             assert report.ok, (m, n, block, str(v), report.to_json())
 
 
@@ -903,7 +928,12 @@ def test_psi14_kernel_dimension_one_at_unit_parameters():
 
 def test_psi14_witness_verified():
     result = example_psi14_witness(sc(1), sc(1))
-    assert result.verified
+    # Every subalgebra operator up to index 12 acts on the witness by its
+    # psi-value, each checked with a fresh action.
+    assert not any(
+        act_shifted(result.datum, op, result.witness)
+        for op in whittaker._search_operators(result.datum, 12)
+    )
     assert result.witness.terms[mono((I(2), 1))] == sc(4)
     assert result.witness.terms[mono((J(3), 1), (I(3), 1))] == sc(1)
 
