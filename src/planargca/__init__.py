@@ -43,7 +43,6 @@ from .omega import (
 from .whittaker import (
     ModuleVector,
     WhittakerDatum,
-    act_shifted,
     annihilation_bound,
     check_degree_reduction,
     example_psi14_witness,

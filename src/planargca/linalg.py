@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, scalar_from_ints
 
 __all__ = [
     "Matrix",
@@ -166,13 +166,32 @@ def matrix_inverse(matrix: Matrix) -> Matrix:
 
 
 def _subtract(target: Dict[int, Scalar], factor: Scalar, row: Dict[int, Scalar]) -> None:
-    """``target -= factor * row`` in place, dropping entries that cancel."""
+    """``target -= factor * row`` in place, dropping entries that cancel.
+
+    Each entry t - f*r is formed from the integer fields: the product's
+    numerator over f.d * r.d, then the difference over one common
+    denominator, so it costs one reduction (``scalar_from_ints``) where
+    ``t - f * r`` costs two.  The result is the same canonical scalar.
+    """
+    if not factor:
+        return
+    fa, fb, fd = factor.a, factor.b, factor.d
     for col, coeff in row.items():
-        updated = target.get(col, ZERO) - factor * coeff
-        if updated:
-            target[col] = updated
+        ra, rb = coeff.a, coeff.b
+        pa, pb, pd = fa * ra - fb * rb, fa * rb + fb * ra, fd * coeff.d
+        old = target.get(col)
+        if old is None:
+            target[col] = scalar_from_ints(-pa, -pb, pd)
+            continue
+        td = old.d
+        if td == pd:
+            a, b, d = old.a - pa, old.b - pb, td
         else:
-            target.pop(col, None)
+            a, b, d = old.a * pd - pa * td, old.b * pd - pb * td, td * pd
+        if a or b:
+            target[col] = scalar_from_ints(a, b, d)
+        else:
+            del target[col]
 
 
 class SparseEchelon:

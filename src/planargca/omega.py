@@ -19,6 +19,11 @@ and the families differ only in delta and in which of I and J acts by sigma
 The central elements act as zero in all three families.  Module parameters
 are restricted to Gaussian rationals so that every check is exact.
 
+Every nonzero action is a fixed multiplier times the ring homomorphism
+f -> f(X+dx, Y+dy) with integer shifts.  ``action_factors`` states the
+table above once in that form; ``omega_act``, ``degree_raise`` and the
+integer ``CachedAction`` of the axiom sweep and the closure probe read it.
+
 ``submodule_closure_probe`` is a bounded semi-decision: reaching the
 constant polynomial 1 from a seed certifies (exactly, within the given
 index and degree bounds) that the seed generates a dense orbit; not
@@ -31,16 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Generator, bracket_basis, generators_up_to
 from .linalg import SparseEchelon
 from .poly import P_ONE, P_ZERO, Poly
-from .scalars import ZERO, Scalar, scalar_pow
+from .scalars import Scalar, scalar_from_ints, scalar_pow
 
 __all__ = [
     "InvalidSpec",
     "OmegaSpec",
+    "action_factors",
     "omega_act",
     "degree_raise",
     "OmegaAxiomReport",
@@ -106,26 +113,35 @@ class OmegaSpec:
         return Poly({(1, 0): Scalar(self.sigma_slot[1]), (0, 0): self.eta})
 
 
-def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
-    """Action of one generator on a polynomial, per the table above.
+def action_factors(spec: OmegaSpec, g: Generator) -> Optional[Tuple[Poly, int, int]]:
+    """``(multiplier, dx, dy)``: ``g`` acts by multiplier * f(X+dx, Y+dy).
 
-    Each action is a multiplier, lam^m folded in, times f(X+dx, Y-m).
+    This is the table above as data, with lam^m folded into the multiplier
+    and dy = -m; ``None`` when ``g`` acts as zero.  ``omega_act``,
+    ``degree_raise`` and ``CachedAction`` all read it.
     """
     if g.is_central:
-        return P_ZERO
+        return None
     m = g.index
     lam_m = scalar_pow(spec.lam, m)
     slot = spec.sigma_slot
-    dx = ZERO
     if g.family == "L":
         multiplier = Poly.monomial(0, 1, lam_m) + spec.l_delta.scale(Scalar(m) * lam_m)
-    elif g.family == "H":
-        multiplier = Poly.monomial(1, 0, lam_m)
-    elif slot is not None and g.family == slot[0]:
-        multiplier, dx = spec.sigma.scale(lam_m), Scalar(slot[1])
-    else:
+        return multiplier, 0, -m
+    if g.family == "H":
+        return Poly.monomial(1, 0, lam_m), 0, -m
+    if slot is not None and g.family == slot[0]:
+        return spec.sigma.scale(lam_m), slot[1], -m
+    return None
+
+
+def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
+    """Action of one generator on a polynomial, per ``action_factors``."""
+    factors = action_factors(spec, g)
+    if factors is None:
         return P_ZERO
-    return multiplier * f.shift(dx, Scalar(-m))
+    multiplier, dx, dy = factors
+    return multiplier * f.shift(Scalar(dx), Scalar(dy))
 
 
 def degree_raise(spec: OmegaSpec, g: Generator) -> Optional[int]:
@@ -135,45 +151,128 @@ def degree_raise(spec: OmegaSpec, g: Generator) -> Optional[int]:
     keeps the top homogeneous part, times a fixed nonzero multiplier, and
     the polynomial ring is a domain, so the rise is the multiplier's degree.
     """
-    if g.is_central:
-        return None
-    if g.family == "H":
-        return 1
-    if g.family == "L":
-        return max(1, spec.l_delta.total_degree()) if g.index else 1
-    slot = spec.sigma_slot
-    if slot is not None and g.family == slot[0]:
-        return spec.sigma.total_degree()
-    return None
+    factors = action_factors(spec, g)
+    return None if factors is None else factors[0].total_degree()
+
+
+# A Gaussian-integer polynomial: exponent pair -> (real, imaginary) numerator.
+_IntImage = Dict[Tuple[int, int], Tuple[int, int]]
+
+
+def _times_linear(image: _IntImage, step: Tuple[int, int], shift: int) -> _IntImage:
+    """``image * (V + shift)`` for the variable V whose exponent ``step`` raises."""
+    da, db = step
+    out = {(a + da, b + db): parts for (a, b), parts in image.items()}
+    if shift:
+        for mono, (re, im) in image.items():
+            old = out.get(mono)
+            if old is None:
+                out[mono] = (shift * re, shift * im)
+                continue
+            re, im = old[0] + shift * re, old[1] + shift * im
+            if re or im:
+                out[mono] = (re, im)
+            else:
+                del out[mono]
+    return out
+
+
+class _GeneratorImages:
+    """Integer images of monomials under one nonzero generator action.
+
+    The multiplier is held as Gaussian-integer numerators over one
+    denominator; every image shares that denominator.
+    """
+
+    __slots__ = ("denominator", "dx", "dy", "images")
+
+    def __init__(self, multiplier: Poly, dx: int, dy: int):
+        denominator = lcm(*(c.d for c in multiplier.terms.values()))
+        self.denominator, self.dx, self.dy = denominator, dx, dy
+        self.images: Dict[Tuple[int, int], _IntImage] = {
+            (0, 0): {
+                mono: (c.a * (denominator // c.d), c.b * (denominator // c.d))
+                for mono, c in multiplier.terms.items()
+            }
+        }
+
+    def image(self, mono: Tuple[int, int]) -> _IntImage:
+        """Numerators of the image of X^a Y^b, built up from the nearest
+        cached image along X^a Y^b <- X^a Y^(b-1) <- ... <- X^a <- ... <- 1."""
+        images = self.images
+        image = images.get(mono)
+        if image is not None:
+            return image
+        missing = []
+        a, b = mono
+        while (a, b) not in images:
+            missing.append((a, b))
+            if b:
+                b -= 1
+            else:
+                a -= 1
+        image = images[(a, b)]
+        for a, b in reversed(missing):
+            if b:
+                image = _times_linear(image, (0, 1), self.dy)
+            else:
+                image = _times_linear(image, (1, 0), self.dx)
+            images[(a, b)] = image
+        return image
 
 
 class CachedAction:
-    """Generator actions extended linearly over cached monomial images.
+    """Generator actions extended linearly over cached integer monomial images.
 
-    The actions are linear, so acting on a polynomial reduces to scaling
-    and merging the cached images of its monomials.  This is the hot path
-    of the axiom sweep and the closure probe.
+    Each action is a fixed multiplier times the ring homomorphism
+    f -> f(X+dx, Y+dy) with integer shifts (``action_factors``), so
+
+        image(g, X^a Y^b) = (X+dx) image(g, X^(a-1) Y^b)
+                          = (Y+dy) image(g, X^a Y^(b-1)).
+
+    With the multiplier over one denominator per generator, every cached
+    image is a Gaussian-integer polynomial over that denominator, and each
+    new image costs one pass of integer additions over a cached one.
+    ``act`` brings the input's coefficients to their common denominator,
+    accumulates integer products per output monomial, and builds one
+    reduced ``Scalar`` per output monomial.  This is the hot path of the
+    axiom sweep and the closure probe.
     """
 
     def __init__(self, spec: OmegaSpec):
         self.spec = spec
-        self._images: Dict[Tuple[Generator, Tuple[int, int]], Poly] = {}
+        self._generators: Dict[Generator, Optional[_GeneratorImages]] = {}
+
+    def _images(self, g: Generator) -> Optional[_GeneratorImages]:
+        if g not in self._generators:
+            factors = action_factors(self.spec, g)
+            self._generators[g] = None if factors is None else _GeneratorImages(*factors)
+        return self._generators[g]
 
     def act(self, g: Generator, f: Poly) -> Poly:
-        total: Dict[Tuple[int, int], Scalar] = {}
+        images = self._images(g)
+        if images is None or not f:
+            return P_ZERO
+        common = lcm(*(c.d for c in f.terms.values()))
+        total: Dict[Tuple[int, int], List[int]] = {}
         for mono, coeff in f.terms.items():
-            key = (g, mono)
-            image = self._images.get(key)
-            if image is None:
-                image = omega_act(self.spec, g, Poly.monomial(*mono))
-                self._images[key] = image
-            for out_mono, base in image.terms.items():
-                updated = total.get(out_mono, ZERO) + base * coeff
-                if updated:
-                    total[out_mono] = updated
+            scale = common // coeff.d
+            p, q = coeff.a * scale, coeff.b * scale
+            for out, (re, im) in images.image(mono).items():
+                entry = total.get(out)
+                if entry is None:
+                    total[out] = [p * re - q * im, p * im + q * re]
                 else:
-                    total.pop(out_mono, None)
-        return Poly(total)
+                    entry[0] += p * re - q * im
+                    entry[1] += p * im + q * re
+        denominator = common * images.denominator
+        return Poly(
+            {
+                out: scalar_from_ints(re, im, denominator)
+                for out, (re, im) in total.items()
+                if re or im
+            }
+        )
 
 
 @dataclass

@@ -27,6 +27,7 @@ __all__ = [
     "ONE",
     "IMAG",
     "sc",
+    "scalar_from_ints",
     "scalar_pow",
     "parse_scalar",
     "ZeroToNegativePower",
@@ -80,8 +81,8 @@ class Scalar:
         other = _coerce(other)
         d1, d2 = self.d, other.d
         if d1 == d2:
-            return _reduced(self.a + other.a, self.b + other.b, d1)
-        return _reduced(
+            return scalar_from_ints(self.a + other.a, self.b + other.b, d1)
+        return scalar_from_ints(
             self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2
         )
 
@@ -91,8 +92,8 @@ class Scalar:
         other = _coerce(other)
         d1, d2 = self.d, other.d
         if d1 == d2:
-            return _reduced(self.a - other.a, self.b - other.b, d1)
-        return _reduced(
+            return scalar_from_ints(self.a - other.a, self.b - other.b, d1)
+        return scalar_from_ints(
             self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2
         )
 
@@ -105,7 +106,7 @@ class Scalar:
     def __mul__(self, other: "Scalar | Rationalish") -> "Scalar":
         other = _coerce(other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
+        return scalar_from_ints(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -114,7 +115,7 @@ class Scalar:
         a, b, d = self.a, self.b, self.d
         if not (a or b):
             raise ZeroDivisionError("zero scalar has no inverse")
-        return _reduced(d * a, -d * b, a * a + b * b)
+        return scalar_from_ints(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: "Scalar | Rationalish") -> "Scalar":
         return self * _coerce(other).inverse()
@@ -171,8 +172,17 @@ def _canonical(a: int, b: int, d: int) -> Scalar:
     return out
 
 
-def _reduced(a: int, b: int, d: int) -> Scalar:
-    """Build ``(a + b*i)/d`` for ``d > 0``, dividing out ``gcd(a, b, d)``."""
+def scalar_from_ints(a: int, b: int, d: int) -> Scalar:
+    """``(a + b*i)/d`` in lowest terms, for integers ``a``, ``b``, ``d != 0``.
+
+    One three-way gcd and one new object: the arithmetic below, and the
+    integer kernels of ``omega`` and ``linalg``, form a result's integer
+    numerators and denominator first and build its scalar here once.
+    """
+    if d <= 0:
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        a, b, d = -a, -b, -d
     g = gcd(a, b, d)
     if g == 1:
         return _canonical(a, b, d)

@@ -127,7 +127,9 @@ class LiftedModule(RestrictedModule):
     """Wrap an inner module, forcing chosen families to act as zero.
 
     The killed families span an ideal acting by zero, so the bracket
-    relations survive the wrapping.
+    relations survive the wrapping.  A killed family still hands the vector
+    to the inner module and discards the image, so the wrapper refuses
+    exactly the vectors the inner module refuses, whatever the family.
     """
 
     def __init__(self, inner: RestrictedModule, killed: frozenset):
@@ -135,9 +137,8 @@ class LiftedModule(RestrictedModule):
         self.killed = killed
 
     def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
-        if g.family in self.killed:
-            return ModuleVector.zero()
-        return self.inner.act(g, v)
+        image = self.inner.act(g, v)
+        return ModuleVector.zero() if g.family in self.killed else image
 
     def annihilation_bound(self, v: ModuleVector) -> int:
         return self.inner.annihilation_bound(v)

@@ -82,7 +82,6 @@ __all__ = [
     "validate_whittaker",
     "ModuleVector",
     "whittaker_act",
-    "act_shifted",
     "annihilation_bound",
     "weight",
     "reverse_lex_compare",
@@ -397,13 +396,6 @@ def whittaker_act(
 ) -> ModuleVector:
     """Action of a generator on a module vector (one memo per call)."""
     return _LeftAction(datum).act(g, v)
-
-
-def act_shifted(
-    datum: WhittakerDatum, g: Generator, v: ModuleVector
-) -> ModuleVector:
-    """``(g - psi(g)) . v``, the operator every Whittaker vector must kill."""
-    return _LeftAction(datum).shifted(g, v)
 
 
 def annihilation_bound(datum: WhittakerDatum, v: ModuleVector) -> int:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from planargca.linalg import (
     Matrix,
     SingularMatrix,
     SparseEchelon,
+    _subtract,
     determinant,
     matrix_inverse,
     matrix_nullspace,
@@ -239,3 +241,36 @@ def test_dense_solvers_match_reference(data):
     else:
         with pytest.raises(SingularMatrix):
             matrix_inverse(square)
+
+
+_wide_part = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+_wide_entry = st.one_of(
+    st.just(ZERO), st.builds(sc, _wide_part, st.one_of(st.just(0), _wide_part))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_subtract_matches_the_plain_formula(data):
+    # The fused row update against target[c] - factor * row[c], entry by
+    # entry, with some target entries set to cancel exactly.
+    ncols = data.draw(st.integers(1, 6))
+    factor = data.draw(_wide_entry)
+    row = {c: e for c in range(ncols) if (e := data.draw(_wide_entry))}
+    target = {}
+    for c in range(ncols):
+        kind = data.draw(st.sampled_from(["absent", "entry", "cancel"]))
+        value = data.draw(_wide_entry) if kind == "entry" else factor * row.get(c, ZERO)
+        if kind != "absent" and value:
+            target[c] = value
+    expected = {}
+    for c in sorted(set(target) | set(row)):
+        value = target.get(c, ZERO) - factor * row.get(c, ZERO)
+        if value:
+            expected[c] = value
+    work = dict(target)
+    _subtract(work, factor, row)
+    assert work == expected
+    for c, value in work.items():
+        assert (value.a, value.b, value.d) == (expected[c].a, expected[c].b, expected[c].d)
+        assert value.d > 0 and gcd(value.a, value.b, value.d) == 1

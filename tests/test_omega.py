@@ -226,22 +226,47 @@ def draw_poly(data, max_degree, univariate):
     return Poly(terms)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_omega_act_matches_original_tables(data):
+def draw_spec(data):
+    """Any of the three families; rational or complex parameters, delta = 0
+    and sigma or delta of degree up to 2 included."""
     variant = data.draw(st.sampled_from(["sigma_zero", "zero_sigma", "delta_only"]))
     lam = draw_scalar(data, nonzero=True)
     if variant == "delta_only":
-        spec = delta_only(lam=lam, delta=draw_poly(data, 2, univariate=True))
-    else:
-        sigma = draw_poly(data, 2, univariate=True) or P_ONE
-        spec = OmegaSpec(variant=variant, lam=lam, eta=draw_scalar(data), sigma=sigma)
+        return delta_only(lam=lam, delta=draw_poly(data, 2, univariate=True))
+    sigma = draw_poly(data, 2, univariate=True) or P_ONE
+    return OmegaSpec(variant=variant, lam=lam, eta=draw_scalar(data), sigma=sigma)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_omega_act_matches_original_tables(data):
+    spec = draw_spec(data)
     family = data.draw(st.sampled_from(["L", "H", "I", "J", "c1", "c2", "c3"]))
     g = Generator(family) if family.startswith("c") else Generator(
         family, data.draw(st.integers(-4, 4))
     )
     f = draw_poly(data, 3, univariate=False)
     assert omega_act(spec, g, f) == original_table(spec, g, f)
+
+
+ACTION_GENERATORS = [
+    Generator(family, idx) for family in "LHIJ" for idx in range(-6, 7)
+] + list(CENTRALS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cached_action_matches_omega_act(data):
+    # One shared CachedAction per spec: later calls reuse the images (and
+    # the images built by recurrence on the way) that earlier calls cached.
+    spec = draw_spec(data)
+    action = CachedAction(spec)
+    for _ in range(data.draw(st.integers(1, 6))):
+        g = data.draw(st.sampled_from(ACTION_GENERATORS))
+        f = draw_poly(data, 10, univariate=False)
+        image = action.act(g, f)
+        assert image == omega_act(spec, g, f), (spec, g, f)
+        assert action.act(g, image) == omega_act(spec, g, image)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from planargca.scalars import (
     ZeroToNegativePower,
     parse_scalar,
     sc,
+    scalar_from_ints,
     scalar_pow,
 )
 
@@ -32,6 +33,15 @@ def test_pow_complex_square():
 def test_pow_empty_product():
     assert scalar_pow(sc(5), 0) == ONE
     assert scalar_pow(ZERO, 0) == ONE
+
+
+def test_scalar_from_ints_reduces_and_normalizes_the_sign():
+    value = scalar_from_ints(2, -4, -6)
+    assert (value.a, value.b, value.d) == (-1, 2, 3)
+    assert value == sc(Fraction(-1, 3), Fraction(2, 3))
+    assert scalar_from_ints(0, 0, -5) == ZERO
+    with pytest.raises(ZeroDivisionError):
+        scalar_from_ints(1, 0, 0)
 
 
 def test_zero_to_negative_power_rejected():

@@ -444,6 +444,18 @@ def test_trivial_module_refuses_vectors_outside_cw():
         assert not module.act(L(1), ModuleVector.zero())
 
 
+@pytest.mark.parametrize("base", ["virasoro_style", "heisenberg_virasoro_style"])
+def test_lifted_module_refuses_the_same_vectors_for_every_family(base):
+    # A killed family acts by zero on the inner module's vectors, but a
+    # vector the inner module refuses is refused whichever family acts.
+    module = lift_restricted(base, TrivialModule())
+    outside = ModuleVector.single(PBWMonomial(((I(0), 1),)))
+    for g in (L(1), H(1), I(-2), J(0), C1, C2, C3):
+        with pytest.raises(ValueError, match="not a multiple of w"):
+            module.act(g, outside)
+        assert not module.act(g, cw(3))
+
+
 def test_whittaker_handle_delegates():
     datum = validate_whittaker({"I[1]": "1", "J[1]": "1"}, 1, 1)
     module = WhittakerRestrictedModule(datum)
