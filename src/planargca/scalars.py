@@ -273,8 +273,13 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def accumulate(out: Dict[Hashable, Scalar], key: Hashable, coeff: Scalar) -> None:
-    """Add ``coeff`` to ``out[key]`` in place, dropping the entry at zero."""
-    updated = out.get(key, ZERO) + coeff
+    """Add ``coeff`` to ``out[key]`` in place, dropping the entry at zero.
+
+    A new key stores ``coeff`` itself: scalars are immutable, so sharing it
+    saves a copy.
+    """
+    old = out.get(key)
+    updated = coeff if old is None else old + coeff
     if updated:
         out[key] = updated
     else:

@@ -20,9 +20,12 @@ is of a monomial shorter than ``x u``, except x acting on the leading term
 of ``g . u``, which takes x in front at once; so the recursion terminates
 on the free PBW basis.  It runs on an explicit stack, so the length of a
 monomial is not limited by Python's recursion limit.
-Images are memoized on (generator, monomial) within one scope: a single
-``whittaker_act`` call, or one basis column of the singular-vector search,
-whose memo is dropped before the next column.
+Images are memoized per generator, then per monomial, within one scope:
+a single ``whittaker_act`` call, one degree check or witness check, or one
+whole singular-vector search.  The search's columns share the memo, since
+column x u needs the images of its suffix u, and the memo is dropped
+before elimination.  A memoized image is a tuple of (monomial,
+coefficient) pairs, so sharing it is safe.
 
 The singular-vector search asks the Whittaker condition only of a finite
 generating set S of the acting subalgebra (4m+1 operators, see
@@ -262,7 +265,9 @@ class ModuleVector(LinearCombination):
         return ModuleVector(terms)
 
 
-Image = Dict[PBWMonomial, Scalar]
+Terms = Dict[PBWMonomial, Scalar]
+# A memoized image: its (monomial, coefficient) pairs, ``()`` for zero.
+Image = Tuple[Tuple[PBWMonomial, Scalar], ...]
 
 
 def _prepend(g: Generator, mono: PBWMonomial) -> PBWMonomial:
@@ -274,17 +279,24 @@ def _prepend(g: Generator, mono: PBWMonomial) -> PBWMonomial:
 
 
 class _LeftAction:
-    """Generator images of free PBW monomials, memoized on (g, monomial).
+    """Generator images of free PBW monomials, memoized per generator, then
+    per monomial.
 
-    One instance is one memo scope (see the module docstring); its images
-    are shared and must not be mutated.
+    One instance is one memo scope (see the module docstring).  Memoized
+    images are tuples, so every caller can share them.
     """
 
     __slots__ = ("datum", "memo")
 
     def __init__(self, datum: WhittakerDatum):
         self.datum = datum
-        self.memo: Dict[Tuple[Generator, PBWMonomial], Image] = {}
+        self.memo: Dict[Generator, Dict[PBWMonomial, Image]] = {}
+
+    def _table(self, g: Generator) -> Dict[PBWMonomial, Image]:
+        table = self.memo.get(g)
+        if table is None:
+            table = self.memo[g] = {}
+        return table
 
     def image(self, g: Generator, mono: PBWMonomial) -> Image:
         """``g . mono . w`` for a monomial in the free generators.
@@ -294,31 +306,31 @@ class _LeftAction:
         sent its image.  The frames sit on an explicit stack, so the depth
         of the recursion never reaches Python's stack.
         """
-        memo = self.memo
-        key = (g, mono)
-        found = memo.get(key)
+        table = self._table(g)
+        found = table.get(mono)
         if found is not None:
             return found
         found = self._leaf(g, mono)
         if found is not None:
-            memo[key] = found
+            table[mono] = found
             return found
-        keys = [key]
+        keys = [(table, mono)]
         frames = [self._expand(g, mono)]
         found = None
         while frames:
             try:
-                key = frames[-1].send(found)
+                g, mono = frames[-1].send(found)
             except StopIteration as done:
-                found = memo[keys.pop()] = done.value
+                table, mono = keys.pop()
+                found = table[mono] = done.value
                 frames.pop()
                 continue
-            found = self._leaf(*key)
+            found = self._leaf(g, mono)
             if found is not None:
-                memo[key] = found
+                self._table(g)[mono] = found
             else:
-                keys.append(key)
-                frames.append(self._expand(*key))
+                keys.append((self._table(g), mono))
+                frames.append(self._expand(g, mono))
         return found
 
     def _leaf(self, g: Generator, mono: PBWMonomial) -> Optional[Image]:
@@ -328,9 +340,9 @@ class _LeftAction:
         if not datum.is_free(g):
             if g.is_central or not factors:
                 value = datum.psi(g)
-                return {mono: value} if value else {}
+                return ((mono, value),) if value else ()
         elif not factors or gen_key(g) <= gen_key(factors[0][0]):
-            return {_prepend(g, mono): ONE}
+            return ((_prepend(g, mono), ONE),)
         return None
 
     def _expand(
@@ -342,33 +354,35 @@ class _LeftAction:
         rest = PBWMonomial(
             ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
         )
-        memo = self.memo
-        out: Image = {}
-        head = memo.get((g, rest))
+        out: Terms = {}
+        head = self._table(g).get(rest)
         if head is None:
             head = yield (g, rest)
-        for term, coeff in head.items():
-            found = memo.get((x, term))
+        x_table = self._table(x)
+        for term, coeff in head:
+            found = x_table.get(term)
             if found is None:
                 found = yield (x, term)
-            for result, factor in found.items():
-                accumulate(out, result, coeff * factor)
+            # x . term is most often x prepended, with factor ONE; keeping
+            # coeff itself shares it instead of storing an equal copy.
+            for result, factor in found:
+                accumulate(out, result, coeff if factor is ONE else coeff * factor)
         for h, coeff in bracket_basis(g, x).terms.items():
-            found = memo.get((h, rest))
+            found = self._table(h).get(rest)
             if found is None:
                 found = yield (h, rest)
-            for result, factor in found.items():
+            for result, factor in found:
                 accumulate(out, result, coeff * factor)
-        return out
+        return tuple(out.items())
 
-    def _apply(self, g: Generator, terms: Image, out: Image) -> Image:
+    def _apply(self, g: Generator, terms: Terms, out: Terms) -> Terms:
         """Accumulate ``g`` applied to free-basis ``terms`` into ``out``."""
         for mono, coeff in terms.items():
-            for term, factor in self.image(g, mono).items():
+            for term, factor in self.image(g, mono):
                 accumulate(out, term, coeff * factor)
         return out
 
-    def _normal_form(self, mono: PBWMonomial, coeff: Scalar) -> Image:
+    def _normal_form(self, mono: PBWMonomial, coeff: Scalar) -> Terms:
         """``coeff * mono . w`` on the free basis, for any monomial.
 
         Vectors read from configs may carry subalgebra or central factors;
@@ -376,13 +390,13 @@ class _LeftAction:
         """
         if all(self.datum.is_free(g) for g, _ in mono.factors):
             return {mono: coeff}
-        terms: Image = {MONOMIAL_ONE: coeff}
+        terms: Terms = {MONOMIAL_ONE: coeff}
         for g in reversed(mono.word()):
             terms = self._apply(g, terms, {})
         return terms
 
     def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
-        out: Image = {}
+        out: Terms = {}
         for mono, coeff in v.terms.items():
             self._apply(g, self._normal_form(mono, coeff), out)
         return ModuleVector(out)
@@ -736,24 +750,27 @@ def singular_vector_search(
     operators = _generating_set(datum)
 
     # Rows are indexed by (operator, output monomial); outputs always stay
-    # within the enumerated weight range plus the empty monomial.  Each
-    # column gets its own memo, dropped before the next one.
-    rows: Dict[Tuple[str, str], Dict[int, Scalar]] = {}
+    # within the enumerated weight range plus the empty monomial.  All
+    # columns share one memo: column x u needs the images of its suffix u,
+    # which an earlier column computed.  The memo is dropped before
+    # elimination, so it and the echelon are never alive together.
+    action = _LeftAction(datum)
+    shifts = [(op, -datum.psi(op)) for op in operators]
+    rows: Dict[Tuple[Generator, PBWMonomial], Dict[int, Scalar]] = {}
     for col, (mono, _) in enumerate(columns):
-        action = _LeftAction(datum)
-        base = ModuleVector.single(mono)
-        for op in operators:
-            shifted = action.shifted(op, base)
-            for out_mono, coeff in shifted.terms.items():
-                key = (gen_str(op), str(out_mono))
-                rows.setdefault(key, {})[col] = coeff
+        for op, shift in shifts:
+            shifted = dict(action.image(op, mono))
+            accumulate(shifted, mono, shift)
+            for out_mono, coeff in shifted.items():
+                rows.setdefault((op, out_mono), {})[col] = coeff
+    del action
 
     # The reduced echelon form, hence the witness, does not depend on the
     # order rows go in, but sorted order keeps the search fast: first-seen
-    # order gave the same witnesses and took the four weight-5 benchmark
-    # searches from 1.0-1.8 s to 4.2-10.8 s (2-vCPU Xeon).
+    # order gave the same witnesses and took the weight-5 searches at (1,1)
+    # and (1,2) from 0.14 s to 0.78 s and 0.46 s (2-vCPU Xeon).
     echelon = SparseEchelon()
-    for key in sorted(rows):
+    for key in sorted(rows, key=lambda key: (gen_str(key[0]), str(key[1]))):
         echelon.insert(rows[key])
     kernel = echelon.kernel_vector_at_first_free_column(len(columns))
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -296,14 +297,9 @@ def gaussian(complex_part):
 
 
 @st.composite
-def action_cases(draw):
-    """A datum, an acting generator and a multi-term vector.
-
-    The generator is drawn from one of five kinds: free, inside the acting
-    subalgebra, central, of negative index, or above the search index bound.
-    Vector monomials are free, with an occasional subalgebra or central
-    factor that the action must evaluate first.
-    """
+def property_data(draw):
+    """A datum on one of ``PROPERTY_SHAPES`` and the scalars its values and
+    vectors draw from (rational or Gaussian)."""
     m, n = draw(st.sampled_from(PROPERTY_SHAPES))
     scalars = gaussian(draw(st.booleans()))
     values = {}
@@ -317,7 +313,19 @@ def action_cases(draw):
             values[Generator(fam, index)] = draw(scalars)
     for central in CENTRALS:
         values[central] = draw(scalars)
-    datum = validate_whittaker(values, m, n)
+    return validate_whittaker(values, m, n), scalars
+
+
+@st.composite
+def acting_pairs(draw, datum, scalars):
+    """An acting generator and a multi-term vector for ``datum``.
+
+    The generator is drawn from one of five kinds: free, inside the acting
+    subalgebra, central, of negative index, or above the search index bound.
+    Vector monomials are free, with an occasional subalgebra or central
+    factor that the action must evaluate first.
+    """
+    m, n = datum.m, datum.n
 
     def threshold(fam):
         return m if fam in ("L", "H") else n
@@ -358,7 +366,15 @@ def action_cases(draw):
             word.append(draw(other_gens))
         mono = PBWMonomial.from_word(sorted(word, key=gen_key))
         terms[mono] = draw(scalars.filter(bool))
-    return datum, g, ModuleVector(terms)
+    return g, ModuleVector(terms)
+
+
+@st.composite
+def action_cases(draw):
+    """A datum, an acting generator and a multi-term vector."""
+    datum, scalars = draw(property_data())
+    g, v = draw(acting_pairs(datum, scalars))
+    return datum, g, v
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -366,6 +382,29 @@ def action_cases(draw):
 def test_action_matches_word_rewriting(case):
     datum, g, v = case
     assert whittaker_act(datum, g, v) == reference_act(datum, g, v)
+
+
+@st.composite
+def shared_scope_cases(draw):
+    """One datum and 5-20 (generator, vector) cases of every kind on it."""
+    datum, scalars = draw(property_data())
+    pairs = draw(
+        st.lists(acting_pairs(datum, scalars), min_size=5, max_size=20)
+    )
+    return datum, pairs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(shared_scope_cases())
+def test_shared_action_matches_word_rewriting(case):
+    # One _LeftAction serves every case, as one serves every column of the
+    # search; a stale or mutated memoized image would make a later case,
+    # or the second pass in reverse order, disagree with the worklist.
+    datum, pairs = case
+    action = whittaker._LeftAction(datum)
+    expected = [reference_act(datum, g, v) for g, v in pairs]
+    assert [action.act(g, v) for g, v in pairs] == expected
+    assert [action.act(g, v) for g, v in reversed(pairs)] == expected[::-1]
 
 
 LONG_DATUM = {
@@ -774,6 +813,21 @@ def test_search_none_at_weight_six(m, n):
     assert not report.found
     assert report.witness is None
     assert report.operators == generating_set_names(m, n)
+
+
+def test_search_memo_peak_memory():
+    # Every column shares one memo of tuple images, kept per generator; it
+    # peaks near 1.5 MB here.  A shared memo of dict images under
+    # (generator, monomial) keys peaked at 3.0 MB, so this guard keeps that
+    # layout out.
+    datum = validate_whittaker({"I[3]": "1", "J[3]": "1"}, 3, 1)
+    tracemalloc.start()
+    try:
+        singular_vector_search(datum, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
