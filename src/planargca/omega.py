@@ -22,7 +22,13 @@ are restricted to Gaussian rationals so that every check is exact.
 Every nonzero action is a fixed multiplier times the ring homomorphism
 f -> f(X+dx, Y+dy) with integer shifts.  ``action_factors`` states the
 table above once in that form; ``omega_act``, ``degree_raise`` and the
-integer ``CachedAction`` of the axiom sweep and the closure probe read it.
+integer ``CachedAction`` read it.  ``CachedAction`` caches each
+generator's monomial images as Gaussian-integer numerators over one
+denominator, and one kernel, ``_GeneratorImages.apply``, merges them.  The
+closure probe acts through ``CachedAction.act``, which reduces the result
+to ``Scalar`` coefficients; ``verify_omega_axioms`` calls the kernel
+directly and compares numerators, so it builds no ``Poly`` or ``Scalar``
+inside its loop.
 
 ``submodule_closure_probe`` is a bounded semi-decision: reaching the
 constant polynomial 1 from a seed certifies (exactly, within the given
@@ -220,6 +226,29 @@ class _GeneratorImages:
             images[(a, b)] = image
         return image
 
+    def apply(
+        self, terms: _IntImage, total: Optional[Dict[Tuple[int, int], List[int]]] = None
+    ) -> Dict[Tuple[int, int], List[int]]:
+        """Numerators of g.f for f = sum (p + q i) X^a Y^b, given as
+        ``{(a, b): (p, q)}`` over some denominator c.
+
+        The result is over c * ``denominator``, as ``[re, im]`` per output
+        monomial; entries that cancel stay as ``[0, 0]``.  With ``total``
+        the products are added into it and it is returned.
+        """
+        if total is None:
+            total = {}
+        image = self.image
+        for mono, (p, q) in terms.items():
+            for out, (re, im) in image(mono).items():
+                entry = total.get(out)
+                if entry is None:
+                    total[out] = [p * re - q * im, p * im + q * re]
+                else:
+                    entry[0] += p * re - q * im
+                    entry[1] += p * im + q * re
+        return total
+
 
 class CachedAction:
     """Generator actions extended linearly over cached integer monomial images.
@@ -233,10 +262,11 @@ class CachedAction:
     With the multiplier over one denominator per generator, every cached
     image is a Gaussian-integer polynomial over that denominator, and each
     new image costs one pass of integer additions over a cached one.
-    ``act`` brings the input's coefficients to their common denominator,
-    accumulates integer products per output monomial, and builds one
-    reduced ``Scalar`` per output monomial.  This is the hot path of the
-    axiom sweep and the closure probe.
+    ``_GeneratorImages.apply`` is the one kernel that merges images in
+    integers.  ``act``, the closure probe's action, brings the input's
+    coefficients to their common denominator, calls it and builds one
+    reduced ``Scalar`` per output monomial; the axiom sweep calls it
+    directly and never leaves the integers.
     """
 
     def __init__(self, spec: OmegaSpec):
@@ -254,17 +284,12 @@ class CachedAction:
         if images is None or not f:
             return P_ZERO
         common = lcm(*(c.d for c in f.terms.values()))
-        total: Dict[Tuple[int, int], List[int]] = {}
-        for mono, coeff in f.terms.items():
-            scale = common // coeff.d
-            p, q = coeff.a * scale, coeff.b * scale
-            for out, (re, im) in images.image(mono).items():
-                entry = total.get(out)
-                if entry is None:
-                    total[out] = [p * re - q * im, p * im + q * re]
-                else:
-                    entry[0] += p * re - q * im
-                    entry[1] += p * im + q * re
+        total = images.apply(
+            {
+                mono: (c.a * (common // c.d), c.b * (common // c.d))
+                for mono, c in f.terms.items()
+            }
+        )
         denominator = common * images.denominator
         return Poly(
             {
@@ -295,33 +320,52 @@ def verify_omega_axioms(
     Runs over every ordered generator pair with index magnitude up to the
     bound (antisymmetry makes the reversed pair redundant, so only one
     orientation is checked) and every monomial X^a Y^b with a, b up to the
-    cap.  Exact equality is required.
+    cap.  Both sides stay Gaussian-integer numerators (``CachedAction``'s
+    cached images, merged by ``_GeneratorImages.apply``): the commutator
+    g1(g2 f) - g2(g1 f) over D1 D2, and [g1, g2] f = sum c_k g_k f over
+    lcm(c_k.d D_k), with D the generators' denominators.  Both denominators
+    are positive, so n1/d1 = n2/d2 exactly when n1 d2 = n2 d1, part by part
+    and monomial by monomial; the cross-multiplied integer comparison is
+    exact equality, without reducing either side.
     """
     report = OmegaAxiomReport(index_bound=index_bound, basis_cap=basis_cap)
     gens = generators_up_to(index_bound)
-    monomials = [
-        Poly.monomial(a, b)
-        for a in range(basis_cap + 1)
-        for b in range(basis_cap + 1)
-    ]
+    monomials = [(a, b) for a in range(basis_cap + 1) for b in range(basis_cap + 1)]
     action = CachedAction(spec)
     for i, g1 in enumerate(gens):
+        images1 = action._images(g1)
         for g2 in gens[i:]:
-            lhs_elem = bracket_basis(g1, g2)
             report.pairs_checked += 1
-            for which, f in enumerate(monomials):
-                lhs = Poly.combine(
-                    (coeff, action.act(g, f))
-                    for g, coeff in lhs_elem.terms.items()
-                )
-                rhs = action.act(g1, action.act(g2, f)) - action.act(
-                    g2, action.act(g1, f)
-                )
-                if lhs != rhs:
-                    report.violations.append(
-                        f"[{g1},{g2}] on X^{which // (basis_cap + 1)}"
-                        f"Y^{which % (basis_cap + 1)}"
+            images2 = action._images(g2)
+            either_zero = images1 is None or images2 is None
+            rhs_den = 1 if either_zero else images1.denominator * images2.denominator
+            bracket = [
+                (action._images(g), coeff)
+                for g, coeff in bracket_basis(g1, g2).terms.items()
+            ]
+            bracket = [(images, coeff) for images, coeff in bracket if images is not None]
+            lhs_den = lcm(*(coeff.d * images.denominator for images, coeff in bracket))
+            scaled = []
+            for images, coeff in bracket:
+                scale = lhs_den // (coeff.d * images.denominator)
+                scaled.append((images, coeff.a * scale, coeff.b * scale))
+            for mono in monomials:
+                lhs: Dict[Tuple[int, int], List[int]] = {}
+                for images, p, q in scaled:
+                    images.apply({mono: (p, q)}, lhs)
+                rhs: Dict[Tuple[int, int], List[int]] = {}
+                if not either_zero:
+                    images1.apply(images2.image(mono), rhs)
+                    images2.apply(
+                        {out: (-re, -im) for out, (re, im) in images1.image(mono).items()},
+                        rhs,
                     )
+                for out in lhs.keys() | rhs.keys():
+                    l_re, l_im = lhs.get(out, (0, 0))
+                    r_re, r_im = rhs.get(out, (0, 0))
+                    if l_re * rhs_den != r_re * lhs_den or l_im * rhs_den != r_im * lhs_den:
+                        report.violations.append(f"[{g1},{g2}] on X^{mono[0]}Y^{mono[1]}")
+                        break
     return report
 
 

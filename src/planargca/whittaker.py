@@ -658,27 +658,24 @@ def _monomials_up_to_weight(
 ) -> List[Tuple[PBWMonomial, int]]:
     """All nonempty free monomials of enumeration weight up to the bound.
 
-    One exponent assignment per leaf of the recursion, so every monomial
-    appears exactly once.
+    One exponent assignment per leaf of the enumeration, so every monomial
+    appears exactly once.  An explicit stack, not a recursive closure, so no
+    reference cycle outlives the call.
     """
     gens = _free_generators(datum, weight_bound)
     found: List[Tuple[PBWMonomial, int]] = []
-
-    def build(position: int, budget: int, factors: List[Tuple[Generator, int]]):
+    stack = [(0, weight_bound, ())]
+    while stack:
+        position, budget, factors = stack.pop()
         if position == len(gens):
             if factors:
-                found.append(
-                    (PBWMonomial(tuple(factors)), weight_bound - budget)
-                )
-            return
+                found.append((PBWMonomial(factors), weight_bound - budget))
+            continue
         g, wt = gens[position]
-        build(position + 1, budget, factors)
-        exp = 1
-        while wt * exp <= budget:
-            build(position + 1, budget - wt * exp, factors + [(g, exp)])
-            exp += 1
-
-    build(0, weight_bound, [])
+        for exp in range(budget // wt + 1):
+            stack.append(
+                (position + 1, budget - wt * exp, factors + ((g, exp),) if exp else factors)
+            )
     return found
 
 

@@ -1,12 +1,24 @@
 import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planargca.algebra import C1, CENTRALS, Generator, H, I, J, L
+from planargca import omega
+from planargca.algebra import (
+    C1,
+    CENTRALS,
+    Generator,
+    H,
+    I,
+    J,
+    L,
+    bracket_basis,
+    generators_up_to,
+)
 from planargca.linalg import SparseEchelon
 from planargca.omega import (
     CachedAction,
@@ -226,10 +238,11 @@ def draw_poly(data, max_degree, univariate):
     return Poly(terms)
 
 
-def draw_spec(data):
-    """Any of the three families; rational or complex parameters, delta = 0
-    and sigma or delta of degree up to 2 included."""
-    variant = data.draw(st.sampled_from(["sigma_zero", "zero_sigma", "delta_only"]))
+def draw_spec(data, variant=None):
+    """Any of the three families, or the one named; rational or complex
+    parameters, delta = 0 and sigma or delta of degree up to 2 included."""
+    if variant is None:
+        variant = data.draw(st.sampled_from(["sigma_zero", "zero_sigma", "delta_only"]))
     lam = draw_scalar(data, nonzero=True)
     if variant == "delta_only":
         return delta_only(lam=lam, delta=draw_poly(data, 2, univariate=True))
@@ -267,6 +280,87 @@ def test_cached_action_matches_omega_act(data):
         image = action.act(g, f)
         assert image == omega_act(spec, g, f), (spec, g, f)
         assert action.act(g, image) == omega_act(spec, g, image)
+
+
+def reference_axioms(spec, index_bound, basis_cap):
+    """The axiom sweep on polynomials: every action through ``omega_act``."""
+    gens = generators_up_to(index_bound)
+    pairs, violations = 0, []
+    for i, g1 in enumerate(gens):
+        for g2 in gens[i:]:
+            pairs += 1
+            bracket = bracket_basis(g1, g2)
+            for a in range(basis_cap + 1):
+                for b in range(basis_cap + 1):
+                    f = Poly.monomial(a, b)
+                    lhs = Poly.combine(
+                        (coeff, omega_act(spec, g, f)) for g, coeff in bracket.terms.items()
+                    )
+                    rhs = omega_act(spec, g1, omega_act(spec, g2, f)) - omega_act(
+                        spec, g2, omega_act(spec, g1, f)
+                    )
+                    if lhs != rhs:
+                        violations.append(f"[{g1},{g2}] on X^{a}Y^{b}")
+    return pairs, violations
+
+
+TRUE_FACTORS = omega.action_factors
+
+
+def broken_factors(kind, family, index):
+    """``action_factors`` with one generator's entry altered; the result is
+    in general no longer a module."""
+
+    def factors(spec, g):
+        table = TRUE_FACTORS(spec, g)
+        if table is None or g.family != family or g.index != index:
+            return table
+        multiplier, dx, dy = table
+        if kind == "scaled multiplier":
+            return multiplier.scale(sc(1, 1)), dx, dy
+        if kind == "flipped dx":
+            return multiplier, 1 - dx if dx == 0 else -dx, dy
+        return multiplier, dx, 1 - dy if dy == 0 else -dy
+
+    return factors
+
+
+@pytest.mark.parametrize("variant", ["sigma_zero", "zero_sigma", "delta_only"])
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_axiom_sweep_matches_the_polynomial_sweep(variant, data):
+    # Index bound 2 includes [L_2, L_-2], whose central coefficient is 1/2.
+    spec = draw_spec(data, variant)
+    basis_cap = data.draw(st.integers(0, 2))
+    kind = data.draw(
+        st.sampled_from(["scaled multiplier", "flipped dx", "flipped dy", None])
+    )
+    table = TRUE_FACTORS
+    if kind is not None:
+        acting = "LH" + (spec.sigma_slot[0] if spec.sigma_slot else "")
+        table = broken_factors(
+            kind, data.draw(st.sampled_from(acting)), data.draw(st.integers(-2, 2))
+        )
+    with mock.patch.object(omega, "action_factors", table):
+        report = verify_omega_axioms(spec, 2, basis_cap)
+        assert (report.pairs_checked, report.violations) == reference_axioms(
+            spec, 2, basis_cap
+        )
+    if kind is None:
+        assert report.ok
+
+
+def test_axiom_sweep_reports_a_broken_table():
+    # A non-real multiplier on H_1 breaks [H_1, g] for many g; the sweep
+    # names the same pairs and monomials, in the same order, as the
+    # polynomial sweep.
+    spec = sigma_zero(eta=sc(1, 3), sigma=X)
+    with mock.patch.object(
+        omega, "action_factors", broken_factors("scaled multiplier", "H", 1)
+    ):
+        report = verify_omega_axioms(spec, 2, 2)
+        assert report.violations
+        assert (report.pairs_checked, report.violations) == reference_axioms(spec, 2, 2)
 
 
 @pytest.mark.parametrize(

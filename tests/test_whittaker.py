@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -828,6 +829,19 @@ def test_search_memo_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.5e6
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # Whatever a search allocates is freed by reference counting when it
+    # returns; a reference cycle would wait for the cyclic collector.
+    datum = validate_whittaker({"I[3]": "1", "J[3]": "1"}, 3, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        singular_vector_search(datum, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
