@@ -4,9 +4,13 @@ Each subcommand loads a JSON config, runs one campaign of exact checks,
 prints a line per check, and optionally writes a JSON report.  Reports are
 deterministic: the same config and seed produce byte-identical output.
 
+Each config section is read through one table that maps each of its keys
+to a reader.  ``_read`` refuses missing and unknown keys and returns every
+present value already typed, so a campaign has read its whole config
+before any work runs.
+
 Exit codes: 0 when every check passed, 1 when any check failed, 2 for a
-configuration problem.  Config keys are validated strictly; unknown keys
-are rejected.
+configuration problem.
 """
 
 from __future__ import annotations
@@ -15,20 +19,16 @@ import argparse
 import json
 import random
 import sys
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
-from .algebra import parse_gen
-from .omega import (
-    OmegaSpec,
-    submodule_closure_probe,
-    verify_omega_axioms,
-)
-from .poly import Poly
-from .scalars import ZERO, parse_scalar
+from .algebra import parse_gen, verify_structure
 from .linalg import determinant, matrix_nullspace
+from .omega import OmegaSpec, submodule_closure_probe, verify_omega_axioms
+from .poly import Poly
 from .sampling import random_block_vector, random_poly
+from .scalars import ZERO, parse_scalar
 from .tensor import (
-    LiftedModule,
+    _LIFT_KILLS,
     RestrictedModule,
     TensorVector,
     TrivialModule,
@@ -38,42 +38,79 @@ from .tensor import (
     tensor_closure_probe,
 )
 from .whittaker import (
+    _BLOCKS,
     ModuleVector,
+    WhittakerDatum,
     check_degree_reduction,
     example_psi14_witness,
     singular_vector_search,
     solve_twist,
     validate_whittaker,
 )
-from .algebra import verify_structure
 
 __all__ = ["main", "run_command", "ConfigError"]
-
-COMMANDS = (
-    "verify-algebra",
-    "verify-omega",
-    "whittaker-search",
-    "twist",
-    "psi14",
-    "tensor-probe",
-    "degree-check",
-)
 
 
 class ConfigError(ValueError):
     """The config document is malformed or inconsistent."""
 
 
-def _expect_keys(config: Any, required: set, optional: set, where: str) -> None:
+# A reader takes a raw JSON value and the path naming it in messages, and
+# returns the value typed or raises ``ConfigError``.
+Reader = Callable[[Any, str], Any]
+
+
+def _read(config: Any, where: str, required: dict, optional: dict = {}) -> dict:
+    """Every present key of one config section, typed by its reader."""
     if not isinstance(config, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    keys = set(config)
-    missing = required - keys
+    missing = required.keys() - config.keys()
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
+    readers = required | optional
+    unknown = config.keys() - readers.keys()
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    return {key: read(config[key], f"{where}.{key}")
+            for key, read in readers.items() if key in config}
+
+
+def _section(required: dict, optional: dict = {}) -> Reader:
+    """The reader of a nested section with its own key table."""
+    return lambda value, where: _read(value, where, required, optional)
+
+
+def _list_of(read: Reader) -> Reader:
+    def read_list(value: Any, where: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a JSON list")
+        return [read(item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+    return read_list
+
+
+def _nonzero(read: Reader) -> Reader:
+    def read_nonzero(value: Any, where: str):
+        typed = read(value, where)
+        if not typed:
+            raise ConfigError(f"{where} must be nonzero")
+        return typed
+
+    return read_nonzero
+
+
+def _one_of(*options: str) -> Reader:
+    def read_option(value: Any, where: str) -> str:
+        if value not in options:
+            spelled = " or ".join(f'"{option}"' for option in options)
+            raise ConfigError(f"{where} must be {spelled}")
+        return value
+
+    return read_option
+
+
+def _raw(value: Any, where: str) -> Any:
+    return value
 
 
 def _integer(value: Any, where: str) -> int:
@@ -114,71 +151,6 @@ def _poly(value: Any, where: str) -> Poly:
         raise ConfigError(f"{where}: malformed polynomial: {exc}") from exc
 
 
-def _omega_spec(config: Any, where: str) -> OmegaSpec:
-    if not isinstance(config, dict):
-        raise ConfigError(f"{where} must be an object")
-    _expect_keys(
-        config, {"variant", "lambda"}, {"eta", "sigma", "delta"}, where
-    )
-    try:
-        return OmegaSpec(
-            variant=config["variant"],
-            lam=_scalar(config["lambda"], f"{where}.lambda"),
-            eta=(
-                _scalar(config["eta"], f"{where}.eta")
-                if "eta" in config
-                else None
-            ),
-            sigma=(
-                _poly(config["sigma"], f"{where}.sigma")
-                if "sigma" in config
-                else None
-            ),
-            delta=(
-                _poly(config["delta"], f"{where}.delta")
-                if "delta" in config
-                else None
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _whittaker(config: dict, where: str):
-    """The datum of a config section whose keys the caller has checked."""
-    m = _integer(config["m"], f"{where}.m")
-    n = _integer(config["n"], f"{where}.n")
-    values = _object(config["values"], f"{where}.values")
-    centrals = _object(config.get("centrals", {}), f"{where}.centrals")
-    try:
-        given = {parse_gen(key) for key in values}
-        for key in centrals:
-            g = parse_gen(key)
-            if not g.is_central:
-                raise ValueError(f"centrals key {key!r} is not c1, c2 or c3")
-            if g in given:
-                raise ValueError(f"{key} is given in both values and centrals")
-        return validate_whittaker(values | centrals, m, n)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _restricted(config: Any, where: str) -> RestrictedModule:
-    if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigError(f"{where} must be an object with a 'kind'")
-    kind = config["kind"]
-    if kind == "trivial":
-        _expect_keys(config, {"kind"}, set(), where)
-        return TrivialModule()
-    if kind == "whittaker":
-        _expect_keys(config, {"kind", "m", "n", "values"}, {"centrals"}, where)
-        return WhittakerRestrictedModule(_whittaker(config, where))
-    if kind in ("virasoro_style", "heisenberg_virasoro_style"):
-        _expect_keys(config, {"kind", "inner"}, set(), where)
-        return lift_restricted(kind, _restricted(config["inner"], f"{where}.inner"))
-    raise ConfigError(f"{where}: unknown restricted-module kind {kind!r}")
-
-
 def _module_vector(raw: Any, where: str) -> ModuleVector:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must map monomial strings to scalars")
@@ -188,35 +160,91 @@ def _module_vector(raw: Any, where: str) -> ModuleVector:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _tensor_vector(
-    module: RestrictedModule, records: Any, where: str
-) -> TensorVector:
-    if not isinstance(records, list) or not records:
-        raise ConfigError(f"{where} must be a non-empty list of pairs")
-    # A trivial module, lifted or not, is spanned by w: its vectors are
-    # scalars c, read as c.w.
-    innermost = module
-    while isinstance(innermost, LiftedModule):
-        innermost = innermost.inner
-    pairs = []
-    for i, record in enumerate(records):
-        _expect_keys(record, {"poly", "vector"}, set(), f"{where}[{i}]")
-        poly = _poly(record["poly"], f"{where}[{i}].poly")
-        raw = record["vector"]
-        if isinstance(innermost, TrivialModule):
-            vector = ModuleVector.cyclic(_scalar(raw, f"{where}[{i}].vector"))
-        else:
-            vector = _module_vector(raw, f"{where}[{i}].vector")
-        pairs.append((poly, vector))
-    return TensorVector.from_pairs(pairs)
+def _cyclic(value: Any, where: str) -> ModuleVector:
+    """A vector c.w of the trivial module, written as the scalar c."""
+    return ModuleVector.cyclic(_scalar(value, where))
+
+
+def _omega_spec(config: Any, where: str) -> OmegaSpec:
+    spec = _read(
+        config, where, {"variant": _raw, "lambda": _scalar},
+        {"eta": _scalar, "sigma": _poly, "delta": _poly},
+    )
+    try:
+        return OmegaSpec(spec["variant"], spec["lambda"], spec.get("eta"),
+                         spec.get("sigma"), spec.get("delta"))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# The keys of a Whittaker datum, read by ``_whittaker``.
+_DATUM = {"m": _integer, "n": _integer, "values": _object}
+_CENTRALS = {"centrals": _object}
+
+
+def _whittaker(section: dict, where: str) -> WhittakerDatum:
+    """The datum of a section read through ``_DATUM`` and ``_CENTRALS``."""
+    values, centrals = section["values"], section.get("centrals", {})
+    try:
+        given = {parse_gen(key) for key in values}
+        for key in centrals:
+            g = parse_gen(key)
+            if not g.is_central:
+                raise ValueError(f"centrals key {key!r} is not c1, c2 or c3")
+            if g in given:
+                raise ValueError(f"{key} is given in both values and centrals")
+        return validate_whittaker(values | centrals, section["m"], section["n"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# Per restricted-module kind, the keys beside "kind".
+_KINDS = {"trivial": ({}, {}), "whittaker": (_DATUM, _CENTRALS)} | {
+    kind: ({"inner": _raw}, {}) for kind in _LIFT_KILLS
+}
+
+
+def _restricted(config: Any, where: str) -> RestrictedModule:
+    # The lift chain is walked by a loop, so its depth costs no Python
+    # frames; lifts are closed, so the module built is one lift deep.
+    lifts = []
+    while True:
+        if not isinstance(config, dict) or "kind" not in config:
+            raise ConfigError(f"{where} must be an object with a 'kind'")
+        kind = config["kind"]
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(f"{where}: unknown restricted-module kind {kind!r}")
+        required, optional = _KINDS[kind]
+        section = _read(config, where, {"kind": _raw} | required, optional)
+        if kind not in _LIFT_KILLS:
+            break
+        lifts.append(kind)
+        config, where = section["inner"], f"{where}.inner"
+    if kind == "trivial":
+        module: RestrictedModule = TrivialModule()
+    else:
+        module = WhittakerRestrictedModule(_whittaker(section, where))
+    for kind in reversed(lifts):
+        module = lift_restricted(kind, module)
+    return module
+
+
+def _tensor_vector(module: RestrictedModule, records: Any, where: str) -> TensorVector:
+    # The trivial module is spanned by w: its vectors are scalars c, read
+    # as c.w.
+    vector = _cyclic if isinstance(module, TrivialModule) else _module_vector
+    pairs = _list_of(_section({"poly": _poly, "vector": vector}))(records, where)
+    seed = TensorVector.from_pairs((pair["poly"], pair["vector"]) for pair in pairs)
+    if not seed:
+        raise ConfigError(f"{where} must give a nonzero tensor")
+    return seed
 
 
 # -- campaign runners ----------------------------------------------------------
 
 
 def _run_verify_algebra(config: dict, rng: random.Random) -> List[dict]:
-    _expect_keys(config, {"index_bound"}, set(), "config")
-    bound = _positive_int(config["index_bound"], "index_bound")
+    bound = _read(config, "config", {"index_bound": _positive_int})["index_bound"]
     report = verify_structure(bound)
     return [
         {
@@ -237,65 +265,43 @@ def _run_verify_algebra(config: dict, rng: random.Random) -> List[dict]:
     ]
 
 
+_CLOSURE = _section(
+    {"index_bound": _positive_int, "degree_cap": _positive_int},
+    {
+        "seeds": _list_of(_nonzero(_poly)),
+        "random_seeds": _section(
+            {"count": _positive_int, "max_degree": _positive_int},
+            {"multiply_by_sigma": _boolean, "zero_constant_term": _boolean},
+        ),
+        "expect_contains_one": _boolean,
+    },
+)
+
+
 def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
-    _expect_keys(
-        config, {"spec", "index_bound", "basis_cap"}, {"closure"}, "config"
+    read = _read(
+        config, "config",
+        {"spec": _omega_spec, "index_bound": _positive_int, "basis_cap": _positive_int},
+        {"closure": _CLOSURE},
     )
-    spec = _omega_spec(config["spec"], "spec")
-    bound = _positive_int(config["index_bound"], "index_bound")
-    cap = _positive_int(config["basis_cap"], "basis_cap")
-    # The closure section is read in full before the axiom sweep runs.
-    seeds: List[Poly] = []
-    closure = config.get("closure")
-    if closure is not None:
-        _expect_keys(
-            closure,
-            {"index_bound", "degree_cap"},
-            {"seeds", "random_seeds", "expect_contains_one"},
-            "closure",
-        )
-        seeds = [
-            _poly(record, f"closure.seeds[{i}]")
-            for i, record in enumerate(closure.get("seeds", []))
-        ]
-        for i, seed_poly in enumerate(seeds):
-            if not seed_poly:
-                raise ConfigError(f"closure.seeds[{i}] must be nonzero")
-        random_cfg = closure.get("random_seeds")
-        if random_cfg is not None:
-            _expect_keys(
-                random_cfg,
-                {"count", "max_degree"},
-                {"multiply_by_sigma", "zero_constant_term"},
-                "closure.random_seeds",
+    spec = read["spec"]
+    closure = read.get("closure", {})
+    seeds: List[Poly] = closure.get("seeds", [])
+    drawn = closure.get("random_seeds")
+    if drawn is not None:
+        by_sigma = drawn.get("multiply_by_sigma", False)
+        if by_sigma and spec.sigma is None:
+            raise ConfigError(
+                "config.closure.random_seeds.multiply_by_sigma needs sigma"
             )
-            for _ in range(_positive_int(random_cfg["count"], "count")):
-                seed_poly = random_poly(
-                    rng,
-                    _positive_int(random_cfg["max_degree"], "max_degree"),
-                    zero_constant_term=_boolean(
-                        random_cfg.get("zero_constant_term", False),
-                        "closure.random_seeds.zero_constant_term",
-                    ),
-                )
-                if _boolean(
-                    random_cfg.get("multiply_by_sigma", False),
-                    "closure.random_seeds.multiply_by_sigma",
-                ):
-                    if spec.sigma is None:
-                        raise ConfigError(
-                            "closure.random_seeds.multiply_by_sigma needs sigma"
-                        )
-                    seed_poly = spec.sigma * seed_poly
-                seeds.append(seed_poly)
-        if not seeds:
-            raise ConfigError("closure section supplies no seeds")
-        expect = closure.get("expect_contains_one")
-        if expect is not None:
-            _boolean(expect, "closure.expect_contains_one")
-        closure_bound = _positive_int(closure["index_bound"], "closure.index_bound")
-        degree_cap = _positive_int(closure["degree_cap"], "closure.degree_cap")
-    report = verify_omega_axioms(spec, bound, cap)
+        for _ in range(drawn["count"]):
+            seed_poly = random_poly(
+                rng, drawn["max_degree"], drawn.get("zero_constant_term", False)
+            )
+            seeds.append(spec.sigma * seed_poly if by_sigma else seed_poly)
+    if closure and not seeds:
+        raise ConfigError("config.closure section supplies no seeds")
+    report = verify_omega_axioms(spec, read["index_bound"], read["basis_cap"])
     checks = [
         {
             "id": "module-axioms",
@@ -304,13 +310,15 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
             "violations": report.violations,
         }
     ]
+    expect = closure.get("expect_contains_one")
     for i, seed_poly in enumerate(seeds):
-        probe = submodule_closure_probe(spec, seed_poly, closure_bound, degree_cap)
-        ok = True if expect is None else probe.contains_one == expect
+        probe = submodule_closure_probe(
+            spec, seed_poly, closure["index_bound"], closure["degree_cap"]
+        )
         checks.append(
             {
                 "id": f"closure-seed-{i}",
-                "ok": ok,
+                "ok": expect is None or probe.contains_one == expect,
                 "seed": seed_poly.to_json(),
                 "dimension": probe.dimension,
                 "contains_one": probe.contains_one,
@@ -321,27 +329,12 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
 
 
 def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
-    _expect_keys(
-        config,
-        {"m", "n", "values", "weight_bound"},
-        {"centrals", "expect_found", "expect_witness"},
-        "config",
+    read = _read(
+        config, "config", _DATUM | {"weight_bound": _positive_int},
+        _CENTRALS
+        | {"expect_found": _boolean, "expect_witness": _nonzero(_module_vector)},
     )
-    datum = _whittaker(config, "config")
-    bound = _positive_int(config["weight_bound"], "weight_bound")
-    expect_found = (
-        _boolean(config["expect_found"], "expect_found")
-        if "expect_found" in config
-        else None
-    )
-    expected = (
-        _module_vector(config["expect_witness"], "expect_witness")
-        if "expect_witness" in config
-        else None
-    )
-    if expected is not None and not expected:
-        raise ConfigError("expect_witness must be nonzero")
-    report = singular_vector_search(datum, bound)
+    report = singular_vector_search(_whittaker(read, "config"), read["weight_bound"])
     checks = [
         {
             "id": "search",
@@ -353,22 +346,15 @@ def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
             "generating_set": report.operators,
         },
     ]
-    if expect_found is not None:
-        checks.append(
-            {
-                "id": "expected-outcome",
-                "ok": report.found == expect_found,
-                "expected_found": expect_found,
-            }
-        )
-    if expected is not None:
-        checks.append(
-            {
-                "id": "expected-witness",
-                "ok": _same_ray(expected, report.witness),
-                "expected": expected.to_json(),
-            }
-        )
+    if "expect_found" in read:
+        found = read["expect_found"]
+        checks.append({"id": "expected-outcome", "ok": report.found == found,
+                       "expected_found": found})
+    if "expect_witness" in read:
+        expected = read["expect_witness"]
+        checks.append({"id": "expected-witness",
+                       "ok": _same_ray(expected, report.witness),
+                       "expected": expected.to_json()})
     return checks
 
 
@@ -382,8 +368,7 @@ def _same_ray(v: ModuleVector, witness: Optional[ModuleVector]) -> bool:
 
 
 def _run_twist(config: dict, rng: random.Random) -> List[dict]:
-    _expect_keys(config, {"m", "n", "values"}, {"centrals"}, "config")
-    datum = _whittaker(config, "config")
+    datum = _whittaker(_read(config, "config", _DATUM, _CENTRALS), "config")
     try:
         result = solve_twist(datum)
     except ValueError as exc:
@@ -414,12 +399,9 @@ def _run_twist(config: dict, rng: random.Random) -> List[dict]:
 
 
 def _run_psi14(config: dict, rng: random.Random) -> List[dict]:
-    _expect_keys(config, {"alpha", "beta"}, set(), "config")
-    alpha = _scalar(config["alpha"], "alpha")
-    beta = _scalar(config["beta"], "beta")
-    if not alpha or not beta:
-        raise ConfigError("alpha and beta must be nonzero")
-    result = example_psi14_witness(alpha, beta)
+    nonzero = _nonzero(_scalar)
+    read = _read(config, "config", {"alpha": nonzero, "beta": nonzero})
+    result = example_psi14_witness(read["alpha"], read["beta"])
     det = determinant(result.matrix)
     kernel = matrix_nullspace(result.matrix)
     return [
@@ -440,39 +422,24 @@ def _run_psi14(config: dict, rng: random.Random) -> List[dict]:
 
 
 def _run_tensor_probe(config: dict, rng: random.Random) -> List[dict]:
-    _expect_keys(
-        config,
-        {"spec", "restricted", "seed_pairs", "monomial_bound"},
-        {"expect_reached", "expect_j_witness"},
-        "config",
+    read = _read(
+        config, "config",
+        {"spec": _omega_spec, "restricted": _restricted, "seed_pairs": _raw,
+         "monomial_bound": _positive_int},
+        {"expect_reached": _boolean,
+         "expect_j_witness": _one_of("locally_finite", "injective_tail")},
     )
-    spec = _omega_spec(config["spec"], "spec")
-    module = _restricted(config["restricted"], "restricted")
-    seed = _tensor_vector(module, config["seed_pairs"], "seed_pairs")
-    if not seed:
-        raise ConfigError("seed_pairs must give a nonzero tensor")
-    bound = _positive_int(config["monomial_bound"], "monomial_bound")
-    if "expect_reached" in config:
-        _boolean(config["expect_reached"], "expect_reached")
-    if config.get("expect_j_witness", "locally_finite") not in (
-        "locally_finite",
-        "injective_tail",
-    ):
-        raise ConfigError(
-            'expect_j_witness must be "locally_finite" or "injective_tail"'
-        )
-    probe = tensor_closure_probe(spec, module, seed, bound)
+    spec, module = read["spec"], read["restricted"]
+    seed = _tensor_vector(module, read["seed_pairs"], "config.seed_pairs")
+    probe = tensor_closure_probe(spec, module, seed, read["monomial_bound"])
     label = j_nilpotency_witness(spec, module, seed)
-    ok = True
-    if "expect_reached" in config:
-        ok = ok and probe.reached_one_tensor == config["expect_reached"]
-    if "expect_j_witness" in config:
-        ok = ok and label == config["expect_j_witness"]
+    reached = probe.reached_one_tensor
     return [
         {
             "id": "tensor-probe",
-            "ok": ok,
-            "reached_one_tensor": probe.reached_one_tensor,
+            "ok": read.get("expect_reached", reached) == reached
+            and read.get("expect_j_witness", label) == label,
+            "reached_one_tensor": reached,
             "obstruction": probe.obstruction,
             "j_witness": label,
             "bounds": {"monomial_bound": probe.monomial_bound},
@@ -482,49 +449,50 @@ def _run_tensor_probe(config: dict, rng: random.Random) -> List[dict]:
     ]
 
 
+def _case(value: Any, where: str) -> str:
+    # Each case name starts with its block; the rest must match the case
+    # the vector is in.
+    if not isinstance(value, str) or value[:2] not in _BLOCKS:
+        raise ConfigError(f"degree check: unknown case {value!r}")
+    return value
+
+
+# The presence of "vector" picks explicit mode: one given vector in the
+# case it names.  Sampling mode draws random vectors of one block.
+_DEGREE_MODES = {
+    True: (_DATUM | {"vector": _module_vector, "case": _case}, _CENTRALS),
+    False: (
+        _DATUM | {"block": _one_of(*_BLOCKS)},
+        _CENTRALS | {"samples": _positive_int, "max_exponent": _positive_int},
+    ),
+}
+
+
 def _run_degree_check(config: dict, rng: random.Random) -> List[dict]:
-    _expect_keys(
-        config,
-        {"m", "n", "values"},
-        {"centrals", "block", "samples", "vector", "case", "max_exponent"},
-        "config",
-    )
-    datum = _whittaker(config, "config")
-    checks: List[dict] = []
-    if "vector" in config:
-        if "case" not in config:
-            raise ConfigError("explicit vector mode needs a 'case'")
-        case = config["case"]
-        # Each case name starts with its block; the rest must match the
-        # case the vector is in.
-        if not isinstance(case, str) or case[:2] not in ("JI", "HL"):
-            raise ConfigError(f"degree check: unknown case {case!r}")
-        vector = _module_vector(config["vector"], "vector")
-        try:
-            report = check_degree_reduction(datum, vector, case[:2])
-        except ValueError as exc:
-            raise ConfigError(f"degree check: {exc}") from exc
-        if report.case != case:
+    explicit = "vector" in config
+    read = _read(config, "config", *_DEGREE_MODES[explicit])
+    datum = _whittaker(read, "config")
+    block = read["case"][:2] if explicit else read["block"]
+    try:
+        vectors = [read["vector"]] if explicit else [
+            random_block_vector(rng, datum, block, read.get("max_exponent", 2))
+            for _ in range(read.get("samples", 25))
+        ]
+        reports = [check_degree_reduction(datum, v, block) for v in vectors]
+    except ValueError as exc:
+        raise ConfigError(f"degree check: {exc}") from exc
+    if explicit:
+        (report,) = reports
+        if report.case != read["case"]:
             raise ConfigError(
-                f"degree check: the vector is in case {report.case}, not {case!r}"
+                f"degree check: the vector is in case {report.case}, "
+                f"not {read['case']!r}"
             )
-        checks.append({"id": "degree-drop", "ok": report.ok} | report.to_json())
-        return checks
-    block = config.get("block")
-    if block not in ("JI", "HL"):
-        raise ConfigError("sampling mode needs block 'JI' or 'HL'")
-    samples = _positive_int(config.get("samples", 25), "samples")
-    max_exponent = _positive_int(config.get("max_exponent", 2), "max_exponent")
-    for k in range(samples):
-        vector = random_block_vector(
-            rng, datum, block, max_exponent=max_exponent
-        )
-        try:
-            report = check_degree_reduction(datum, vector, block)
-        except ValueError as exc:
-            raise ConfigError(f"degree check: {exc}") from exc
+        return [{"id": "degree-drop", "ok": report.ok} | report.to_json()]
+    fields = ("case", "degree_before", "predicted", "branch")
+    checks = []
+    for k, (vector, report) in enumerate(zip(vectors, reports)):
         summary = report.to_json()
-        fields = ("case", "degree_before", "predicted", "branch")
         checks.append(
             {"id": f"degree-drop-{k}", "ok": report.ok, "vector": vector.to_json()}
             | {key: summary[key] for key in fields}
@@ -577,7 +545,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Exact verification campaigns for the planar Galilean "
         "conformal algebra and its modules.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--json", dest="json_path", help="write the JSON report here")
     parser.add_argument("--seed", type=int, default=0)
@@ -587,7 +555,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

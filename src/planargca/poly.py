@@ -8,8 +8,9 @@ Gaussian rationals, so all of it is exact.  There are no degree caps
 anywhere: every operation returns the full result.
 
 The JSON form is a list of ``{"xexp": a, "yexp": b, "coeff": "..."}`` records
-sorted by exponent, with coefficients in the scalar string form; exponents
-must be JSON integers, and a record with any other key is refused.
+sorted by exponent, one per monomial, with coefficients in the scalar string
+form; exponents must be JSON integers, and a record with any other key, or a
+second record for one monomial, is refused.
 """
 
 from __future__ import annotations
@@ -142,14 +143,16 @@ class Poly(LinearCombination):
 
     @staticmethod
     def from_json(records: Iterable[dict]) -> "Poly":
+        """Read the ``to_json`` form; a monomial given twice is refused."""
         terms: Dict[Exponent, Scalar] = {}
         for record in records:
             unknown = set(record) - {"xexp", "yexp", "coeff"}
             if unknown:
                 raise ValueError(f"unknown keys {sorted(unknown)} in {record!r}")
             mono = (_exponent(record, "xexp"), _exponent(record, "yexp"))
-            coeff = parse_scalar(str(record["coeff"]))
-            terms[mono] = terms.get(mono, ZERO) + coeff
+            if mono in terms:
+                raise ValueError(f"duplicate record for xexp {mono[0]}, yexp {mono[1]}")
+            terms[mono] = parse_scalar(str(record["coeff"]))
         return Poly(terms)
 
 

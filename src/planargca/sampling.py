@@ -16,7 +16,7 @@ from .algebra import CENTRALS, Generator
 from .pbw import PBWMonomial
 from .poly import Poly
 from .scalars import Scalar
-from .whittaker import ModuleVector, WhittakerDatum
+from .whittaker import _BLOCKS, ModuleVector, WhittakerDatum, block_length
 
 __all__ = [
     "random_scalar",
@@ -85,16 +85,15 @@ def random_block_vector(
 ) -> ModuleVector:
     """Nonzero vector of one to three terms on one two-family block, never
     pure-cyclic."""
-    families = ("J", "I") if block == "JI" else ("H", "L")
-    block_length = datum.n if block == "JI" else datum.m
-    if block_length < 1:
+    length = block_length(datum, block)
+    if length < 1:
         raise ValueError("block is empty for this datum")
     while True:
         terms = {}
         for _ in range(rng.randint(1, 3)):
             factors: List[Tuple[Generator, int]] = []
-            for family in families:
-                for idx in range(block_length):
+            for family in _BLOCKS[block]:
+                for idx in range(length):
                     exp = rng.randint(0, max_exponent)
                     if exp:
                         factors.append((Generator(family, idx), exp))

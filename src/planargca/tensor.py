@@ -145,12 +145,20 @@ class LiftedModule(RestrictedModule):
 
 
 def lift_restricted(base: str, data: Optional[RestrictedModule] = None) -> RestrictedModule:
-    """Construct a restricted module from one of the stock recipes."""
+    """Construct a restricted module from one of the stock recipes.
+
+    Lifts are closed: a lift of the trivial module is that module, and a
+    lift of a lift is one ``LiftedModule`` killing both sets of families.
+    """
     if base == "trivial":
         return TrivialModule()
     if base in _LIFT_KILLS:
         if data is None:
             raise ValueError(f"{base} needs an inner module to wrap")
+        if isinstance(data, TrivialModule):
+            return data
+        if isinstance(data, LiftedModule):
+            return LiftedModule(data.inner, data.killed | _LIFT_KILLS[base])
         return LiftedModule(data, _LIFT_KILLS[base])
     raise ValueError(f"unknown base {base!r}")
 

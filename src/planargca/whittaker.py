@@ -498,6 +498,11 @@ def _vec_sub(a: ExponentVector, b: ExponentVector) -> ExponentVector:
 _BLOCKS = {"JI": ("J", "I"), "HL": ("H", "L")}
 
 
+def block_length(datum: WhittakerDatum, block: str) -> int:
+    """A block's generators have indices 0..length-1: n for JI, m for HL."""
+    return datum.n if block == "JI" else datum.m
+
+
 def vector_degree(
     v: ModuleVector, block: str, block_length: int
 ) -> PairOfVectors:
@@ -595,35 +600,34 @@ def check_degree_reduction(
     """
     if block not in _BLOCKS:
         raise ValueError(f"unknown block {block!r}")
-    m, n = datum.m, datum.n
-    block_length = n if block == "JI" else m
-    if block_length < 1:
+    length = block_length(datum, block)
+    if length < 1:
         raise PreconditionViolated(f"the {block} block is empty")
     _require_degree_hypotheses(datum, block)
-    degree = vector_degree(v, block, block_length)
+    degree = vector_degree(v, block, length)
     first, second = degree
     if not any(first) and not any(second):
         raise PreconditionViolated("vector is a multiple of the cyclic vector")
-    top = m + n - 1
+    top = datum.m + datum.n - 1
 
     first_case, second_case = _DROP_CASES[block]
     if any(first):
         # Lower the entry of the lowest nonzero index k of the first block.
         case, families = first_case
-        k = min(k for k in range(block_length) if first[-1 - k])
-        predicted = (_vec_sub(first, epsilon(block_length, k)), second)
+        k = min(k for k in range(length) if first[-1 - k])
+        predicted = (_vec_sub(first, epsilon(length, k)), second)
     else:
         # Lower the entry of the highest nonzero index k of the second one.
         case, families = second_case
-        k = max(k for k in range(block_length) if second[-1 - k])
-        predicted = (first, _vec_sub(second, epsilon(block_length, k)))
+        k = max(k for k in range(length) if second[-1 - k])
+        predicted = (first, _vec_sub(second, epsilon(length, k)))
     ops = [family(top - k) for family in families]
     action = _LeftAction(datum)
     degrees_after: List[Optional[PairOfVectors]] = []
     branch = None
     for op in ops:
         result = action.shifted(op, v)
-        after = vector_degree(result, block, block_length) if result else None
+        after = vector_degree(result, block, length) if result else None
         degrees_after.append(after)
         if branch is None and after == predicted:
             branch = gen_str(op)

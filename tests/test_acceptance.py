@@ -6,6 +6,7 @@ requires byte-identical JSON.  Each test prints one PASS line on success
 (run with ``pytest -s`` or ``-rA`` to see them).
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -448,3 +449,57 @@ def test_criterion_10_cli_determinism():
         f"PASS criterion-10: {len(CAMPAIGNS)} campaigns rerun byte-identical "
         f"({elapsed:.1f}s)"
     )
+
+
+# sha256 of each campaign's report as ``planargca --json`` writes it.  A
+# change that alters a report on purpose re-pins its value here and says
+# why in CHANGES.md.
+_REPORT_SHA256 = {
+    "algebra-structure":
+        "1726a72221b492b5fca0230f09401e8d3a40254dda7a8d7fe3a02f0a4dd24f14",
+    "degree-22-hl":
+        "f0650be2126ea0262ccb9a7be817b8e466da5a007bef0492084f7beb46dd5bf0",
+    "degree-22-ji":
+        "0ad38653bb5f88958c158834a21f8cdc342906189a88f3756ba8961a67d19fca",
+    "omega-axioms-0sigma-sigma1":
+        "2fbc186a8e90cc5787257217d1bca546f5688e19f4eb38d98051e506c018a298",
+    "omega-axioms-0sigma-sigmaX":
+        "2fbc186a8e90cc5787257217d1bca546f5688e19f4eb38d98051e506c018a298",
+    "omega-axioms-delta":
+        "2fbc186a8e90cc5787257217d1bca546f5688e19f4eb38d98051e506c018a298",
+    "omega-axioms-sigma0-sigma1":
+        "2fbc186a8e90cc5787257217d1bca546f5688e19f4eb38d98051e506c018a298",
+    "omega-axioms-sigma0-sigmaX":
+        "2fbc186a8e90cc5787257217d1bca546f5688e19f4eb38d98051e506c018a298",
+    "omega-closure-0sigma-sigma1":
+        "ae7877290eba2fd1a1f1694c823dc6f72646c8605a43a429e8bdca6534da40be",
+    "omega-closure-0sigma-sigmaX":
+        "bdd7a992696574c6c0e7fefa61983cd372b0b18c800a04d8af14a80fe1eafaa3",
+    "omega-closure-delta":
+        "a49979dc936a5b4d528e8b5b81f571e47a222638ac62fdc9fde512f697d181e2",
+    "omega-closure-sigma0-sigma1":
+        "1b1e7ffc5ffc80ec5dbb96fceb078e01c982ea58f3645b1d337fda35579fee79",
+    "omega-closure-sigma0-sigmaX":
+        "230479eea3f7da48370e044b51d4825de09763b71458853020b33ec169c038fe",
+    "psi14":
+        "979ee1893e8725fc6172977edc26b7c157122062d5fc3f1ca126fe597260d15c",
+    "search-11":
+        "e0322c7ed9aec8e2d17042e8e435f0b5efb286f8061a4e5d3c5271e76415e093",
+    "search-22":
+        "c1e1e2542505d7c55e8d15a77260bc07e0e3891cd23ec7e0e7d4e4dd43691389",
+    "search-31":
+        "5ffb951fc5ea0cfbf004ddaef507213b309c3d4578381a4c1bc9c72f2d970bc4",
+    "tensor-probe":
+        "bb04e5ed5567ad966c611100de97d307633c2586b913c871da7c0dd04d0c5c66",
+    "twist-11":
+        "143578f73da8ef97f837e89ff6957bd8196b9c9d96efae41ade71acd9792bfd3",
+}
+
+
+def test_campaign_reports_are_pinned():
+    assert set(_REPORT_SHA256) == set(CAMPAIGNS)
+    for name in CAMPAIGNS:
+        payload = json.dumps(campaign_report(name), indent=2, sort_keys=True) + "\n"
+        digest = hashlib.sha256(payload.encode()).hexdigest()
+        assert digest == _REPORT_SHA256[name], f"campaign {name} report changed"
+    print(f"PASS pinned: {len(CAMPAIGNS)} campaign reports match their sha256")

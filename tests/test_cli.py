@@ -731,3 +731,176 @@ def test_twist_checks_cover_h_positions(
     assert checks["twist-recomputation"] is recomputed
     assert checks["twist-normalization"] is normalized
     assert code == (0 if recomputed and normalized else 1)
+
+
+# One bad value in the last key that each command's table reads, and the
+# work function that must not run.
+LAST_KEY_REFUSALS = [
+    ("verify-algebra", "verify_structure", {"index_bound": 0},
+     "config.index_bound must be a positive integer"),
+    ("verify-omega", "verify_omega_axioms",
+     {"spec": SIGMA_ONE_SPEC, "index_bound": 1, "basis_cap": 1,
+      "closure": CLOSURE_OK | {"expect_contains_one": "yes"}},
+     "config.closure.expect_contains_one must be true or false"),
+    ("whittaker-search", "singular_vector_search",
+     {"m": 1, "n": 1, "values": {"I[1]": "1", "J[1]": "1"}, "weight_bound": 2,
+      "expect_witness": {"I[1]": "0"}},
+     "config.expect_witness must be nonzero"),
+    ("twist", "solve_twist", TWIST_21 | {"centrals": ["c1"]},
+     "config.centrals must be a JSON object"),
+    ("psi14", "example_psi14_witness", {"alpha": "1", "beta": "0"},
+     "config.beta must be nonzero"),
+    ("tensor-probe", "tensor_closure_probe",
+     {"spec": SIGMA_ONE_SPEC, "restricted": {"kind": "trivial"},
+      "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "1"}], "vector": "1"}],
+      "monomial_bound": 2, "expect_j_witness": "neither"},
+     'config.expect_j_witness must be "locally_finite" or "injective_tail"'),
+    ("degree-check", "check_degree_reduction",
+     {"m": 2, "n": 2, "values": {"I[3]": "1", "J[3]": "1"}, "block": "JI",
+      "samples": 2, "max_exponent": 0},
+     "config.max_exponent must be a positive integer"),
+    ("degree-check", "check_degree_reduction",
+     {"m": 2, "n": 2, "values": {"I[3]": "1", "J[3]": "1"}, "vector": {"J[0]": "1"},
+      "case": "JI_j_nonzero", "centrals": "c1"},
+     "config.centrals must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("command, work, config, message", LAST_KEY_REFUSALS)
+def test_every_command_reads_its_whole_config_before_work(
+    tmp_path, capsys, monkeypatch, command, work, config, message
+):
+    monkeypatch.setattr(cli, work, _refuse_to_run)
+    code, report, _ = run(tmp_path, command, config)
+    assert code == 2
+    assert report is None
+    assert message in capsys.readouterr().err
+
+
+DEGREE_22 = {"m": 2, "n": 2, "values": {"I[3]": "1", "J[3]": "1"}}
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"vector": {"J[0]": "1"}, "case": "JI_j_nonzero", "block": "HL"}, "block"),
+        ({"vector": {"J[0]": "1"}, "case": "JI_j_nonzero", "samples": "abc"}, "samples"),
+        ({"vector": {"J[0]": "1"}, "case": "JI_j_nonzero", "max_exponent": -3},
+         "max_exponent"),
+        ({"block": "JI", "samples": 2, "case": "JI_i_only"}, "case"),
+    ],
+)
+def test_degree_check_refuses_the_other_modes_keys(tmp_path, capsys, extra, key):
+    code, report, _ = run(tmp_path, "degree-check", DEGREE_22 | extra)
+    assert code == 2
+    assert report is None
+    assert f"config: unknown keys ['{key}']" in capsys.readouterr().err
+
+
+def test_degree_check_on_an_empty_block_is_a_config_error(tmp_path, capsys):
+    # n = 0 leaves the J/I block without generators.
+    config = {"m": 2, "n": 0, "values": {"I[1]": "1", "J[1]": "1"}, "block": "JI"}
+    code, report, _ = run(tmp_path, "degree-check", config)
+    assert code == 2
+    assert report is None
+    assert "degree check: block is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "closure, message",
+    [
+        (CLOSURE_OK | {"seeds": 5}, "config.closure.seeds must be a JSON list"),
+        (CLOSURE_OK | {"seeds": None}, "config.closure.seeds must be a JSON list"),
+        (CLOSURE_OK | {"seeds": True}, "config.closure.seeds must be a JSON list"),
+        (None, "config.closure must be a JSON object"),
+        (CLOSURE_OK | {"random_seeds": None},
+         "config.closure.random_seeds must be a JSON object"),
+        (CLOSURE_OK | {"expect_contains_one": None},
+         "config.closure.expect_contains_one must be true or false"),
+    ],
+)
+def test_closure_values_are_typed(tmp_path, capsys, closure, message):
+    config = {"spec": SIGMA_ONE_SPEC, "index_bound": 1, "basis_cap": 1,
+              "closure": closure}
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert report is None
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("sigma", "config.spec.sigma: malformed polynomial: duplicate record"),
+        ("closure", "config.closure.seeds[0]: malformed polynomial: duplicate record"),
+    ],
+)
+def test_polynomial_with_a_monomial_given_twice_rejected(tmp_path, capsys, where, message):
+    # Summed, the two records would read as the zero polynomial.
+    records = [{"xexp": 0, "yexp": 0, "coeff": "1"}, {"xexp": 0, "yexp": 0, "coeff": "-1"}]
+    config = {"spec": SIGMA_ONE_SPEC, "index_bound": 1, "basis_cap": 1}
+    if where == "sigma":
+        config["spec"] = SIGMA_ONE_SPEC | {"sigma": records}
+    else:
+        config["closure"] = CLOSURE_OK | {"seeds": [records]}
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert report is None
+    assert f"{message} for xexp 0, yexp 0" in capsys.readouterr().err
+
+
+def _lift_chain(depth, innermost):
+    kinds = ("virasoro_style", "heisenberg_virasoro_style")
+    restricted = innermost
+    for level in range(depth):
+        restricted = {"kind": kinds[level % 2], "inner": restricted}
+    return restricted
+
+
+def _chain_json(depth):
+    """A tensor-probe config with a lift chain of the given depth, as text."""
+    return (
+        '{"spec": ' + json.dumps(SIGMA_ONE_SPEC) + ', "restricted": '
+        + '{"kind": "virasoro_style", "inner": ' * depth + '{"kind": "trivial"}'
+        + "}" * depth + ', "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, '
+        '"coeff": "1"}], "vector": "1"}], "monomial_bound": 2}'
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, _chain_json(990)], ids=["nested-lists", "lift-chain-990"]
+)
+def test_too_deeply_nested_config_is_a_config_error(tmp_path, capsys, text):
+    # Past the JSON decoder's nesting limit: exit 2, not a traceback.  The
+    # decoder's limit counts the caller's frames too, so a 990-deep chain
+    # is past it from inside a test.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    json_path = tmp_path / "report.json"
+    code = main(["tensor-probe", "--config", str(path), "--json", str(json_path)])
+    assert code == 2
+    assert not json_path.exists()
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+WHITTAKER_11 = {"kind": "whittaker", "m": 1, "n": 1,
+                "values": {"I[1]": "1", "J[1]": "1"}}
+
+
+@pytest.mark.parametrize(
+    "innermost, vector, single",
+    [
+        ({"kind": "trivial"}, "1", {"kind": "trivial"}),
+        (WHITTAKER_11, {"1": "1"}, {"kind": "virasoro_style", "inner": WHITTAKER_11}),
+    ],
+)
+def test_deep_lift_chain_reads_without_recursion(innermost, vector, single):
+    # Deeper than the recursion limit: the chain is walked by a loop, and
+    # the lifts close up into one, which kills the union of both kill sets.
+    base = {"spec": SIGMA_ONE_SPEC,
+            "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 1, "coeff": "1"}],
+                            "vector": vector}],
+            "monomial_bound": 2}
+    deep = run_command("tensor-probe", base | {"restricted": _lift_chain(5000, innermost)})
+    assert deep == run_command("tensor-probe", base | {"restricted": single})
+    assert deep["ok"] and deep["checks"][0]["reached_one_tensor"]

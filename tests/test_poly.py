@@ -77,3 +77,17 @@ def test_json_round_trip():
 def test_json_rejects_unknown_record_keys(record):
     with pytest.raises(ValueError, match="unknown keys"):
         Poly.from_json([record])
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"xexp": 1, "yexp": 0, "coeff": "1"}, {"xexp": 1, "yexp": 0, "coeff": "2"}],
+        [{"xexp": 1, "yexp": 0, "coeff": "1"}, {"xexp": 1, "yexp": 0, "coeff": "-1"}],
+        [{"xexp": 0, "yexp": 2, "coeff": "0"}, {"yexp": 2, "xexp": 0, "coeff": "3"}],
+    ],
+)
+def test_json_rejects_a_monomial_given_twice(records):
+    # Summing the records would read 3X, or 0 for X with -X.
+    with pytest.raises(ValueError, match="duplicate record for xexp"):
+        Poly.from_json(records)

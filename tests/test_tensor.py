@@ -11,6 +11,7 @@ from planargca.pbw import MONOMIAL_ONE, PBWMonomial
 from planargca.poly import P_ONE, Poly, X, Y
 from planargca.scalars import ONE, sc
 from planargca.tensor import (
+    _LIFT_KILLS,
     DegenerateSystem,
     LiftedModule,
     TensorVector,
@@ -150,9 +151,7 @@ def axiom_modules():
 
 
 def spanned_by_w(module):
-    """Whether the module is the trivial one, lifted or not."""
-    while isinstance(module, LiftedModule):
-        module = module.inner
+    """Whether the module is the trivial one (a lift of it is that module)."""
     return isinstance(module, TrivialModule)
 
 
@@ -501,6 +500,37 @@ def test_heisenberg_virasoro_lift_keeps_h():
 def test_lift_rejects_unknown_base():
     with pytest.raises(ValueError):
         lift_restricted("block_style", TrivialModule())
+
+
+def test_lift_of_trivial_module_is_that_module():
+    trivial = TrivialModule()
+    for base in ("virasoro_style", "heisenberg_virasoro_style"):
+        assert lift_restricted(base, trivial) is trivial
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ("virasoro_style", "heisenberg_virasoro_style"),
+        ("heisenberg_virasoro_style", "virasoro_style"),
+        ("heisenberg_virasoro_style", "heisenberg_virasoro_style"),
+    ],
+)
+def test_lift_of_a_lift_is_one_lift_killing_both(outer, inner):
+    rich = WhittakerRestrictedModule(validate_whittaker(RICH_DATUM, 1, 1))
+    lifted = lift_restricted(outer, lift_restricted(inner, rich))
+    assert type(lifted) is LiftedModule and lifted.inner is rich
+    # The same module as the two wrappers nested by hand.
+    nested = LiftedModule(LiftedModule(rich, _LIFT_KILLS[inner]), _LIFT_KILLS[outer])
+    words = [[], [I(0)], [L(-1), H(0), H(0)], [J(-1), I(0), L(0)]]
+    vectors = [
+        ModuleVector.single(PBWMonomial.from_word(sorted(word, key=gen_key)))
+        for word in words
+    ]
+    for v in vectors:
+        assert lifted.annihilation_bound(v) == nested.annihilation_bound(v)
+        for g in AXIOM_GENERATORS:
+            assert lifted.act(g, v) == nested.act(g, v)
 
 
 def test_j_action_keeps_polynomial_parts_on_sigma_zero():
