@@ -171,8 +171,13 @@ def _omega_spec(config: Any, where: str) -> OmegaSpec:
         {"eta": _scalar, "sigma": _poly, "delta": _poly},
     )
     try:
-        return OmegaSpec(spec["variant"], spec["lambda"], spec.get("eta"),
-                         spec.get("sigma"), spec.get("delta"))
+        return OmegaSpec(
+            variant=spec["variant"],
+            lam=spec["lambda"],
+            eta=spec.get("eta"),
+            sigma=spec.get("sigma"),
+            delta=spec.get("delta"),
+        )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -348,13 +353,22 @@ def _run_whittaker_search(config: dict, rng: random.Random) -> List[dict]:
     ]
     if "expect_found" in read:
         found = read["expect_found"]
-        checks.append({"id": "expected-outcome", "ok": report.found == found,
-                       "expected_found": found})
+        checks.append(
+            {
+                "id": "expected-outcome",
+                "ok": report.found == found,
+                "expected_found": found,
+            }
+        )
     if "expect_witness" in read:
         expected = read["expect_witness"]
-        checks.append({"id": "expected-witness",
-                       "ok": _same_ray(expected, report.witness),
-                       "expected": expected.to_json()})
+        checks.append(
+            {
+                "id": "expected-witness",
+                "ok": _same_ray(expected, report.witness),
+                "expected": expected.to_json(),
+            }
+        )
     return checks
 
 
@@ -423,11 +437,18 @@ def _run_psi14(config: dict, rng: random.Random) -> List[dict]:
 
 def _run_tensor_probe(config: dict, rng: random.Random) -> List[dict]:
     read = _read(
-        config, "config",
-        {"spec": _omega_spec, "restricted": _restricted, "seed_pairs": _raw,
-         "monomial_bound": _positive_int},
-        {"expect_reached": _boolean,
-         "expect_j_witness": _one_of("locally_finite", "injective_tail")},
+        config,
+        "config",
+        {
+            "spec": _omega_spec,
+            "restricted": _restricted,
+            "seed_pairs": _raw,
+            "monomial_bound": _positive_int,
+        },
+        {
+            "expect_reached": _boolean,
+            "expect_j_witness": _one_of("locally_finite", "injective_tail"),
+        },
     )
     spec, module = read["spec"], read["restricted"]
     seed = _tensor_vector(module, read["seed_pairs"], "config.seed_pairs")
@@ -457,20 +478,19 @@ def _case(value: Any, where: str) -> str:
     return value
 
 
-# The presence of "vector" picks explicit mode: one given vector in the
-# case it names.  Sampling mode draws random vectors of one block.
-_DEGREE_MODES = {
-    True: (_DATUM | {"vector": _module_vector, "case": _case}, _CENTRALS),
-    False: (
-        _DATUM | {"block": _one_of(*_BLOCKS)},
-        _CENTRALS | {"samples": _positive_int, "max_exponent": _positive_int},
-    ),
-}
+# The key tables of the two degree-check modes.  The presence of "vector"
+# picks explicit mode: one given vector in the case it names.  Sampling
+# mode draws random vectors of one block.
+_EXPLICIT = (_DATUM | {"vector": _module_vector, "case": _case}, _CENTRALS)
+_SAMPLING = (
+    _DATUM | {"block": _one_of(*_BLOCKS)},
+    _CENTRALS | {"samples": _positive_int, "max_exponent": _positive_int},
+)
 
 
 def _run_degree_check(config: dict, rng: random.Random) -> List[dict]:
     explicit = "vector" in config
-    read = _read(config, "config", *_DEGREE_MODES[explicit])
+    read = _read(config, "config", *(_EXPLICIT if explicit else _SAMPLING))
     datum = _whittaker(read, "config")
     block = read["case"][:2] if explicit else read["block"]
     try:

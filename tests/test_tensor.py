@@ -142,7 +142,8 @@ def axiom_modules():
     rich = WhittakerRestrictedModule(validate_whittaker(RICH_DATUM, 1, 1))
     return [
         TrivialModule(),
-        lift_restricted("virasoro_style", TrivialModule()),
+        # Built directly: lift_restricted returns the trivial module itself.
+        LiftedModule(TrivialModule(), _LIFT_KILLS["virasoro_style"]),
         whittaker_module(),
         rich,
         lift_restricted("virasoro_style", rich),
@@ -151,7 +152,9 @@ def axiom_modules():
 
 
 def spanned_by_w(module):
-    """Whether the module is the trivial one (a lift of it is that module)."""
+    """Whether the module is the trivial one, lifted or not."""
+    while isinstance(module, LiftedModule):
+        module = module.inner
     return isinstance(module, TrivialModule)
 
 
@@ -430,7 +433,8 @@ def test_lift_trivial():
 
 def test_trivial_module_refuses_vectors_outside_cw():
     outside = ModuleVector.single(PBWMonomial(((I(0), 1),)))
-    for module in (TrivialModule(), lift_restricted("virasoro_style", TrivialModule())):
+    lifted = LiftedModule(TrivialModule(), _LIFT_KILLS["virasoro_style"])
+    for module in (TrivialModule(), lifted):
         with pytest.raises(ValueError, match="not a multiple of w"):
             module.annihilation_bound(outside)
         with pytest.raises(ValueError, match="not a multiple of w"):
@@ -447,7 +451,7 @@ def test_trivial_module_refuses_vectors_outside_cw():
 def test_lifted_module_refuses_the_same_vectors_for_every_family(base):
     # A killed family acts by zero on the inner module's vectors, but a
     # vector the inner module refuses is refused whichever family acts.
-    module = lift_restricted(base, TrivialModule())
+    module = LiftedModule(TrivialModule(), _LIFT_KILLS[base])
     outside = ModuleVector.single(PBWMonomial(((I(0), 1),)))
     for g in (L(1), H(1), I(-2), J(0), C1, C2, C3):
         with pytest.raises(ValueError, match="not a multiple of w"):
