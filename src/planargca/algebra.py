@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .scalars import ONE, ZERO, LinearCombination, Scalar, parse_scalar
+from .scalars import ONE, ZERO, LinearCombination, Scalar, read_scalar
 
 __all__ = [
     "Generator",
@@ -158,7 +158,7 @@ class Element(LinearCombination):
     @staticmethod
     def from_json(data: Dict[str, str]) -> "Element":
         return Element(
-            {parse_gen(k): parse_scalar(str(v)) for k, v in data.items()}
+            {parse_gen(k): read_scalar(v, f"the value of {k}") for k, v in data.items()}
         )
 
 

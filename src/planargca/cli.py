@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from typing import Any, Callable, List, Optional
 
@@ -138,8 +139,10 @@ def _object(value: Any, where: str) -> dict:
 
 
 def _scalar(value: Any, where: str):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
     try:
-        return parse_scalar(str(value))
+        return parse_scalar(value)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -559,6 +562,22 @@ def _render_text(report: dict, verbose: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A config nested deeper than this is refused before it is decoded.  The
+# decoder's own limit counts the caller's stack frames too, so without this
+# whether a config reads would depend on where ``main`` was called from.
+MAX_NESTING = 512
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _nesting(text: str) -> int:
+    """The deepest nesting of JSON lists and objects, outside strings."""
+    depth = deepest = 0
+    for bracket in re.findall(r"[][{}]", _STRING.sub("", text)):
+        depth += 1 if bracket in "[{" else -1
+        deepest = max(deepest, depth)
+    return deepest
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="planargca",
@@ -574,8 +593,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+            text = handle.read()
+        if _nesting(text) > MAX_NESTING:
+            raise ConfigError(f"config nests deeper than {MAX_NESTING} levels")
+        config = json.loads(text)
+    except (OSError, RecursionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

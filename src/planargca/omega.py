@@ -35,7 +35,9 @@ constant polynomial 1 from a seed certifies (exactly, within the given
 index and degree bounds) that the seed generates a dense orbit; not
 reaching it is only evidence of a proper submodule, never a proof, since
 the module is infinite dimensional.  Its ``ClosureReport.basis`` is the
-reduced echelon basis of the span it found.
+reduced echelon basis of the span it found.  Per queued vector v it acts
+with each family at no more than deg_Y v + 1 indices (deg_Y v + 2 for L):
+lam^(-m) g_m v is a polynomial in m, so the other images lie in the span.
 """
 
 from __future__ import annotations
@@ -404,6 +406,29 @@ def submodule_closure_probe(
     predicted by ``degree_raise`` before acting, so images over the cap and
     zero images are never computed.  ``basis`` is the reduced echelon basis
     of the span (see ``linalg.SparseEchelon``).
+
+    Most images within the cap are never computed either, because they
+    provably lie in the span already.  By ``action_factors``,
+
+        lam^(-m) g_m v = M_g(m) * v(X+dx, Y-m),
+
+    and v(X+dx, Y-m) is a polynomial in m of degree deg_Y v with
+    coefficients in C[X, Y].  The multiplier M_g(m) is X for H and sigma(X)
+    for the sigma family, both free of m, and Y + m delta(X) for L, linear
+    in m.  So lam^(-m) g_m v = p(m) with p of degree at most J in m, where
+    J = deg_Y v for H and for the sigma family and J = deg_Y v + 1 for L.
+    Lagrange interpolation on any J + 1 distinct indices m_0..m_J gives
+
+        g_m v = lam^m * sum_k l_k(m) lam^(-m_k) g_(m_k) v
+
+    with the Lagrange basis polynomials l_k, for every index m.  Once a
+    family has produced J + 1 computed images of v (not truncated; a
+    family acting as zero produces none), each of them was inserted or
+    found dependent, and the span only grows, so every later image of v
+    under that family would reduce to zero, queue nothing and change
+    nothing.  The probe skips them.  The truncation test comes first, so
+    ``truncated`` counts the same images as without the skip, and the
+    report is the same.
     """
     if not seed:
         raise ValueError("seed must be nonzero")
@@ -438,6 +463,10 @@ def submodule_closure_probe(
     while queue and (saturated is None or basis.dimension < saturated):
         current = queue.pop(0)
         degree = current.total_degree()
+        # Images each family may still compute before the rest lie in the
+        # span: J + 1, with J = deg_Y + 1 for L and deg_Y otherwise.
+        left = dict.fromkeys("JIH", current.y_degree() + 1)
+        left["L"] = current.y_degree() + 2
         for g in generators:
             rise = raises[g]
             if rise is None:
@@ -445,6 +474,9 @@ def submodule_closure_probe(
             if degree + rise > degree_cap:
                 truncated += 1
                 continue
+            if not left[g.family]:
+                continue
+            left[g.family] -= 1
             image = action.act(g, current)
             row = to_row(image)
             if basis.insert(row):

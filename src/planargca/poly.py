@@ -23,7 +23,7 @@ from .scalars import (
     ZERO,
     LinearCombination,
     Scalar,
-    parse_scalar,
+    read_scalar,
     scalar_pow,
 )
 
@@ -152,7 +152,7 @@ class Poly(LinearCombination):
             mono = (_exponent(record, "xexp"), _exponent(record, "yexp"))
             if mono in terms:
                 raise ValueError(f"duplicate record for xexp {mono[0]}, yexp {mono[1]}")
-            terms[mono] = parse_scalar(str(record["coeff"]))
+            terms[mono] = read_scalar(record["coeff"], "coeff")
         return Poly(terms)
 
 

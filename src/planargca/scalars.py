@@ -30,6 +30,7 @@ __all__ = [
     "scalar_from_ints",
     "scalar_pow",
     "parse_scalar",
+    "read_scalar",
     "ZeroToNegativePower",
     "accumulate",
     "LinearCombination",
@@ -267,6 +268,19 @@ def parse_scalar(text: str) -> Scalar:
                 raise ValueError(f"repeated real part in {text!r}")
             re_part = value
     return Scalar(re_part or 0, im_part or 0)
+
+
+def read_scalar(value: object, key: str) -> Scalar:
+    """A ``Scalar`` as given, or one parsed from its string form.
+
+    Any other value, such as a JSON number, null or boolean, is refused
+    rather than coerced through ``str``; ``key`` names it in the message.
+    """
+    if isinstance(value, Scalar):
+        return value
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string")
+    return parse_scalar(value)
 
 
 # -- sparse linear combinations ------------------------------------------------

@@ -71,7 +71,7 @@ from .scalars import (
     LinearCombination,
     Scalar,
     accumulate,
-    parse_scalar,
+    read_scalar,
 )
 
 __all__ = [
@@ -188,14 +188,14 @@ class WhittakerDatum:
         return f"WhittakerDatum(m={self.m}, n={self.n}, {body})"
 
 
-RawValues = Mapping[Union[Generator, str], Union[Scalar, str, int]]
+RawValues = Mapping[Union[Generator, str], Union[Scalar, str]]
 
 
 def validate_whittaker(values: RawValues, m: int, n: int) -> WhittakerDatum:
     """Check and normalize raw Whittaker values.
 
-    Accepts generator objects or their string names as keys, and scalars,
-    scalar strings, or ints as values.  Rejects values outside the acting
+    Accepts generator objects or their string names as keys, and scalars
+    or scalar strings as values.  Rejects values outside the acting
     subalgebra and nonzero values at indexed generators off the support.
     """
     if m < 1:
@@ -206,11 +206,7 @@ def validate_whittaker(values: RawValues, m: int, n: int) -> WhittakerDatum:
     seen = set()
     for key, raw in values.items():
         g = parse_gen(key) if isinstance(key, str) else key
-        coeff = (
-            raw
-            if isinstance(raw, Scalar)
-            else parse_scalar(str(raw))
-        )
+        coeff = read_scalar(raw, f"the value of {gen_str(g)}")
         # Two spellings of one generator are refused even when one is zero.
         if g in seen:
             raise ValueError(f"duplicate value for {gen_str(g)}")
@@ -261,7 +257,7 @@ class ModuleVector(LinearCombination):
             mono = PBWMonomial.parse(key)
             if mono in terms:
                 raise ValueError(f"duplicate coefficient for monomial {mono}")
-            terms[mono] = parse_scalar(str(value))
+            terms[mono] = read_scalar(value, f"the coefficient of {key}")
         return ModuleVector(terms)
 
 

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planargca
 from planargca import cli, whittaker
 from planargca.algebra import H
 from planargca.cli import ConfigError, main, run_command
@@ -904,3 +909,103 @@ def test_deep_lift_chain_reads_without_recursion(innermost, vector, single):
     deep = run_command("tensor-probe", base | {"restricted": _lift_chain(5000, innermost)})
     assert deep == run_command("tensor-probe", base | {"restricted": single})
     assert deep["ok"] and deep["checks"][0]["reached_one_tensor"]
+
+
+def _trivial_probe(vector):
+    return {"spec": SIGMA_ONE_SPEC, "restricted": {"kind": "trivial"},
+            "seed_pairs": [{"poly": [{"xexp": 1, "yexp": 0, "coeff": "1"}],
+                            "vector": vector}],
+            "monomial_bound": 2}
+
+
+# Each place a config gives a scalar, with the value replaced, and the key
+# the message names.
+SCALAR_SLOTS = {
+    "psi14": lambda v: ("psi14", {"alpha": v, "beta": "1"}, "config.alpha"),
+    "lambda": lambda v: ("verify-omega", {
+        "spec": SIGMA_ONE_SPEC | {"lambda": v}, "index_bound": 1, "basis_cap": 1,
+    }, "config.spec.lambda"),
+    "poly-coeff": lambda v: ("verify-omega", {
+        "spec": SIGMA_ONE_SPEC | {"sigma": [{"xexp": 0, "yexp": 0, "coeff": v}]},
+        "index_bound": 1, "basis_cap": 1,
+    }, "config.spec.sigma: malformed polynomial: coeff"),
+    "psi-value": lambda v: ("whittaker-search", {
+        "m": 1, "n": 1, "values": {"I[1]": v, "J[1]": "1"}, "weight_bound": 2,
+    }, "config: the value of I[1]"),
+    "central": lambda v: ("whittaker-search", {
+        "m": 1, "n": 1, "values": {"I[1]": "1", "J[1]": "1"}, "centrals": {"c2": v},
+        "weight_bound": 2,
+    }, "config: the value of c2"),
+    "vector-coeff": lambda v: ("whittaker-search", {
+        "m": 1, "n": 1, "values": {"I[1]": "1", "J[1]": "1"}, "weight_bound": 2,
+        "expect_witness": {"I[1]": v},
+    }, "config.expect_witness: the coefficient of I[1]"),
+    "trivial-vector": lambda v: (
+        "tensor-probe", _trivial_probe(v), "config.seed_pairs[0].vector",
+    ),
+}
+
+
+@pytest.mark.parametrize("slot", SCALAR_SLOTS)
+@pytest.mark.parametrize("value", [1, 2.5, None, True, ["1"]], ids=repr)
+def test_scalars_are_strings_not_coerced(tmp_path, capsys, slot, value):
+    # A JSON number is not read as its decimal spelling, and null, true
+    # and lists are refused by type, not by a message quoting a Python repr.
+    command, config, key = SCALAR_SLOTS[slot](value)
+    code, report, _ = run(tmp_path, command, config)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err == f"config error: {key} must be a string\n"
+
+
+@pytest.mark.parametrize("slot", SCALAR_SLOTS)
+def test_scalar_slots_read_their_strings(tmp_path, slot):
+    # The same configs with the value "1" run, so the refusal above is the
+    # type check and not some other fault of the config.
+    command, config, _ = SCALAR_SLOTS[slot]("1")
+    code, report, _ = run(tmp_path, command, config)
+    assert report is not None and code in (0, 1)
+
+
+def _run_chain(tmp_path, depth):
+    path = tmp_path / "chain.json"
+    path.write_text(_chain_json(depth))
+    return main(["tensor-probe", "--config", str(path)])
+
+
+NESTING_REFUSED = f"config error: config nests deeper than {cli.MAX_NESTING} levels\n"
+
+
+def test_nesting_limit_is_fixed_in_a_fresh_process(tmp_path):
+    # Far below the decoder's own limit in a fresh process, yet refused:
+    # the limit is a property of the config, not of the caller's stack.
+    path = tmp_path / "chain.json"
+    path.write_text(_chain_json(600))
+    env = dict(os.environ, PYTHONPATH=str(Path(planargca.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "planargca.cli", "tensor-probe", "--config", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr == NESTING_REFUSED
+
+
+def test_nesting_limit_is_fixed_under_pytest(tmp_path, capsys):
+    assert _run_chain(tmp_path, 600) == 2
+    assert capsys.readouterr().err == NESTING_REFUSED
+
+
+def test_config_within_the_nesting_limit_runs(tmp_path):
+    assert _run_chain(tmp_path, 400) == 0
+
+
+def test_nesting_ignores_brackets_inside_strings():
+    assert cli._nesting('{"a": "[[{{\\"[", "b": [1, {"c": []}]}') == 4
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"index_bound": 2, "note": "\xff"}')
+    assert main(["verify-algebra", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec")

@@ -22,6 +22,7 @@ from planargca.algebra import (
 from planargca.linalg import SparseEchelon
 from planargca.omega import (
     CachedAction,
+    ClosureReport,
     InvalidSpec,
     OmegaSpec,
     _monomial_table,
@@ -446,3 +447,85 @@ def test_closure_basis_is_the_reduced_echelon_basis():
     for lead, row in zip(leads, rows):
         assert row[lead] == ONE
         assert not any(other in row for other in leads if other != lead)
+
+
+def reference_closure(spec, seed, index_bound, degree_cap):
+    """The closure probe without its shortcuts: every generator acts on
+    every queued vector, and an image's degree is tested after it is
+    computed.  Only the saturation stop is kept, since it decides which
+    images are counted as truncated."""
+    generators = [
+        Generator(family, idx)
+        for family in "JIHL"
+        for idx in range(-index_bound, index_bound + 1)
+    ]
+    monomials, column_of = _monomial_table(max(degree_cap, seed.total_degree()))
+
+    def to_row(p):
+        return {column_of[mono]: coeff for mono, coeff in p.terms.items()}
+
+    action = CachedAction(spec)
+    basis = SparseEchelon()
+    basis.insert(to_row(seed))
+    queue, truncated = [seed], 0
+    full = (degree_cap + 1) * (degree_cap + 2) // 2
+    saturated = full if seed.total_degree() <= degree_cap else None
+    while queue and (saturated is None or basis.dimension < saturated):
+        current = queue.pop(0)
+        for g in generators:
+            image = action.act(g, current)
+            if not image:
+                continue
+            if image.total_degree() > degree_cap:
+                truncated += 1
+            elif basis.insert(to_row(image)):
+                queue.append(image)
+    return ClosureReport(
+        dimension=basis.dimension,
+        contains_one=basis.contains(to_row(P_ONE)),
+        truncated=truncated,
+        index_bound=index_bound,
+        degree_cap=degree_cap,
+        basis=[
+            Poly({monomials[col]: coeff for col, coeff in row.items()}).to_json()
+            for row in basis.rows_sorted()
+        ],
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closure_matches_the_reference_that_acts_everywhere(data):
+    # All three families, real and complex lambda, sigma or delta of
+    # degree 0-2 (deg delta = 2 gives L_0 a smaller rise than L_m), and
+    # seeds up to two degrees over the cap.
+    spec = draw_spec(data)
+    index_bound = data.draw(st.integers(1, 5))
+    degree_cap = data.draw(st.integers(2, 8))
+    seed_degree = data.draw(st.integers(0, degree_cap + 2))
+    seed = draw_poly(data, seed_degree, univariate=False) or Y
+    assert submodule_closure_probe(spec, seed, index_bound, degree_cap) == (
+        reference_closure(spec, seed, index_bound, degree_cap)
+    )
+
+
+def test_closure_acts_only_where_the_index_polynomial_needs_it():
+    # lam^-m g_m v is a polynomial in m, so after deg_Y v + 1 images per
+    # family (deg_Y v + 2 for L) the rest lie in the span and are skipped.
+    # Without the skip the probe would make about two thirds of the
+    # reference's calls here, saving only the truncated images.
+    calls = {"n": 0}
+    act = CachedAction.act
+
+    def counted(self, g, f):
+        calls["n"] += 1
+        return act(self, g, f)
+
+    spec = sigma_zero(eta=sc(1, 3))
+    seed = X * Y + P_ONE
+    with mock.patch.object(CachedAction, "act", counted):
+        probe = submodule_closure_probe(spec, seed, 4, 10)
+        probe_calls, calls["n"] = calls["n"], 0
+        reference = reference_closure(spec, seed, 4, 10)
+    assert probe == reference
+    assert probe_calls <= 0.6 * calls["n"]

@@ -14,6 +14,7 @@ from planargca.scalars import (
     Scalar,
     ZeroToNegativePower,
     parse_scalar,
+    read_scalar,
     sc,
     scalar_from_ints,
     scalar_pow,
@@ -100,6 +101,14 @@ def test_parse_accepts_bare_i():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+def test_read_scalar_takes_scalars_and_strings_only():
+    assert read_scalar(sc(1, 2), "k") == sc(1, 2)
+    assert read_scalar("1/2-i", "k") == sc(Fraction(1, 2), -1)
+    for value in (1, 2.5, None, True, ["1"], Fraction(1, 2)):
+        with pytest.raises(ValueError, match=r"^k must be a string$"):
+            read_scalar(value, "k")
 
 
 def test_lowest_terms_and_positive_denominator():
