@@ -157,9 +157,15 @@ class Element(LinearCombination):
 
     @staticmethod
     def from_json(data: Dict[str, str]) -> "Element":
-        return Element(
-            {parse_gen(k): read_scalar(v, f"the value of {k}") for k, v in data.items()}
-        )
+        """Read the ``to_json`` form; two spellings of one generator are
+        refused, even when one of them carries a zero."""
+        terms: Dict[Generator, Scalar] = {}
+        for key, value in data.items():
+            g = parse_gen(key)
+            if g in terms:
+                raise ValueError(f"duplicate value for {gen_str(g)}")
+            terms[g] = read_scalar(value, f"the value of {key}")
+        return Element(terms)
 
 
 # Orientation used by the bracket table below; unrelated to the PBW order.

@@ -23,7 +23,7 @@ import sys
 from typing import Any, Callable, List, Optional
 
 from .algebra import parse_gen, verify_structure
-from .linalg import determinant, matrix_nullspace
+from .linalg import determinant
 from .omega import OmegaSpec, submodule_closure_probe, verify_omega_axioms
 from .poly import Poly
 from .sampling import random_block_vector, random_poly
@@ -393,14 +393,12 @@ def _run_twist(config: dict, rng: random.Random) -> List[dict]:
     # Independent recomputation: push every L/H position of the support
     # through the translation again and compare with the solver's datum;
     # positions from m+n on must be cleared.
-    positions = [g for g in datum.support() if g.family in ("L", "H")]
     recomputed_ok = all(
         result.twisted.psi(g) == datum.psi_element(result.translation.apply(g))
-        for g in positions
+        for g in datum.support()
+        if g.family in ("L", "H")
     )
-    normalized_ok = all(
-        not result.twisted.psi(g) for g in positions if g.index >= datum.m + datum.n
-    )
+    normalized_ok = not result.twisted.unnormalized()
     return [
         {
             "id": "twist-solution",
@@ -420,13 +418,12 @@ def _run_psi14(config: dict, rng: random.Random) -> List[dict]:
     read = _read(config, "config", {"alpha": nonzero, "beta": nonzero})
     result = example_psi14_witness(read["alpha"], read["beta"])
     det = determinant(result.matrix)
-    kernel = matrix_nullspace(result.matrix)
     return [
         {"id": "matrix-singular", "ok": not det, "determinant": str(det)},
         {
             "id": "kernel-dimension",
-            "ok": len(kernel) >= 1,
-            "dimension": len(kernel),
+            "ok": len(result.kernel) >= 1,
+            "dimension": len(result.kernel),
         },
         {
             "id": "witness-verified",

@@ -32,6 +32,7 @@ from .scalars import ONE, LinearCombination, Scalar, accumulate
 __all__ = [
     "PBWMonomial",
     "MONOMIAL_ONE",
+    "display_order",
     "EnvelopingElement",
     "straighten",
     "multiply",
@@ -113,6 +114,12 @@ class PBWMonomial:
 MONOMIAL_ONE = PBWMonomial()
 
 
+def display_order(monomials: Iterable[PBWMonomial]) -> List[PBWMonomial]:
+    """The order in which sums print their monomials: shortest first, then
+    by the printed form."""
+    return sorted(monomials, key=lambda m: (m.length(), str(m)))
+
+
 class EnvelopingElement(LinearCombination):
     """Finite linear combination of canonical monomials."""
 
@@ -125,8 +132,7 @@ class EnvelopingElement(LinearCombination):
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=lambda m: (m.length(), str(m)))
-        return " + ".join(f"({self.terms[m]})*{m}" for m in keys)
+        return " + ".join(f"({self.terms[m]})*{m}" for m in display_order(self.terms))
 
 
 def _find_inversion(word: Tuple[Generator, ...], strategy: str) -> int | None:

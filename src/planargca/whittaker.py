@@ -2,10 +2,13 @@
 
 For integers m >= 1, n >= 0, a Whittaker datum assigns exact scalar values
 psi(g) to the generators of the subalgebra spanned by L_{m+i}, H_{m+i},
-I_{n+i}, J_{n+i} (i >= 0) together with the three centrals.  Because psi
-must kill every bracket inside that subalgebra, it can be nonzero only at
-the centrals and at the 4m+1 generators of ``WhittakerDatum.support()``;
-``validate_whittaker`` rejects anything else.
+I_{n+i}, J_{n+i} (i >= 0) together with the three centrals.  These
+starting indices live in one table, ``WhittakerDatum.thresholds``; the
+subalgebra test, the free generators, the search operators and the block
+lengths all read it.  Because psi must kill every bracket inside that
+subalgebra, it can be nonzero only at the centrals and at the 4m+1
+generators of ``WhittakerDatum.support()``; ``validate_whittaker`` rejects
+anything else.
 
 The induced cyclic module has a PBW basis of monomials in the remaining
 ("free") generators, L_k/H_k with k < m and I_k/J_k with k < n, applied to
@@ -40,8 +43,16 @@ block of length l reads (e_{l-1}, ..., e_1, e_0).  The weight of such a
 vector is sum_k (l - k) * e_k; the reverse lexicographic order compares
 entries from e_0 upward; and the principal order on pairs compares total
 weight first, then the second block, then the first, all reverse
-lexicographically.  This is exactly the order in which the degree-drop
-checks predict leading terms.
+lexicographically.  It is stated once, as the sort key ``_principal_key``;
+``principal_compare`` compares by it and ``vector_degree`` is its maximum.
+This is exactly the order in which the degree-drop checks predict leading
+terms.
+
+The degree-drop checks and the twist rest on two facts about a datum, each
+stated once.  ``_require_top_pair`` demands psi(I_{m+n-1}) and
+psi(J_{m+n-1}) nonzero.  ``WhittakerDatum.unnormalized`` lists the L/H
+values at index m+n and above: the HL checks require there are none, and
+``solve_twist`` clears them.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ from .algebra import (
     parse_gen,
 )
 from .linalg import Matrix, SparseEchelon, matrix_solve
-from .pbw import MONOMIAL_ONE, PBWMonomial
+from .pbw import MONOMIAL_ONE, PBWMonomial, display_order
 from .scalars import (
     ONE,
     ZERO,
@@ -131,19 +142,17 @@ class PreconditionViolated(ValueError):
 class WhittakerDatum:
     """Validated Whittaker values; unassigned positions default to zero."""
 
-    __slots__ = ("m", "n", "values")
+    __slots__ = ("m", "n", "values", "thresholds")
 
     def __init__(self, m: int, n: int, values: Dict[Generator, Scalar]):
         self.m = m
         self.n = n
         self.values = {g: c for g, c in values.items() if c}
+        # The acting subalgebra holds a family's generators from this index on.
+        self.thresholds = {"L": m, "H": m, "I": n, "J": n}
 
     def in_subalgebra(self, g: Generator) -> bool:
-        if g.is_central:
-            return True
-        if g.family in ("L", "H"):
-            return g.index >= self.m
-        return g.index >= self.n
+        return g.is_central or g.index >= self.thresholds[g.family]
 
     def support(self) -> List[Generator]:
         """The 4m+1 indexed generators psi may be nonzero on; every other
@@ -157,7 +166,16 @@ class WhittakerDatum:
         )
 
     def is_free(self, g: Generator) -> bool:
-        return not g.is_central and not self.in_subalgebra(g)
+        return not self.in_subalgebra(g)
+
+    def unnormalized(self) -> List[Generator]:
+        """The L/H positions of the support at index m+n and above whose
+        value is nonzero; the twist (``solve_twist``) clears them all."""
+        return [
+            g
+            for g in self.support()
+            if g.family in ("L", "H") and g.index >= self.m + self.n and self.psi(g)
+        ]
 
     def psi(self, g: Generator) -> Scalar:
         """Stored value, defaulting to zero for anything unassigned."""
@@ -202,20 +220,17 @@ def validate_whittaker(values: RawValues, m: int, n: int) -> WhittakerDatum:
         raise PreconditionViolated("m must be a positive integer")
     if n < 0:
         raise PreconditionViolated("n must be non-negative")
-    normalized: Dict[Generator, Scalar] = {}
-    seen = set()
+    given: Dict[Generator, Scalar] = {}
     for key, raw in values.items():
         g = parse_gen(key) if isinstance(key, str) else key
         coeff = read_scalar(raw, f"the value of {gen_str(g)}")
         # Two spellings of one generator are refused even when one is zero.
-        if g in seen:
+        if g in given:
             raise ValueError(f"duplicate value for {gen_str(g)}")
-        seen.add(g)
-        if coeff:
-            normalized[g] = coeff
-    datum = WhittakerDatum(m, n, {})
+        given[g] = coeff
+    datum = WhittakerDatum(m, n, given)
     support = set(datum.support())
-    for g, coeff in normalized.items():
+    for g in datum.values:
         if not datum.in_subalgebra(g):
             raise OutOfSubalgebra(
                 f"{gen_str(g)} lies outside the acting subalgebra for "
@@ -225,7 +240,7 @@ def validate_whittaker(values: RawValues, m: int, n: int) -> WhittakerDatum:
             raise DerivedAlgebraViolation(
                 f"psi({gen_str(g)}) must vanish for (m, n) = ({m}, {n})"
             )
-    return WhittakerDatum(m, n, normalized)
+    return datum
 
 
 class ModuleVector(LinearCombination):
@@ -239,17 +254,13 @@ class ModuleVector(LinearCombination):
         return ModuleVector({MONOMIAL_ONE: coeff})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda m: (m.length(), str(m)))
-        return " + ".join(f"({self.terms[m]})*{m}.w" for m in keys)
+        return " + ".join(f"({c})*{m}.w" for m, c in self.to_json().items()) or "0"
 
     def to_json(self) -> Dict[str, str]:
-        keys = sorted(self.terms, key=lambda m: (m.length(), str(m)))
-        return {str(m): str(self.terms[m]) for m in keys}
+        return {str(m): str(self.terms[m]) for m in display_order(self.terms)}
 
     @staticmethod
-    def from_json(data: Mapping[str, Union[str, int]]) -> "ModuleVector":
+    def from_json(data: Mapping[str, Union[str, Scalar]]) -> "ModuleVector":
         """Read the ``to_json`` form; two spellings of one monomial are
         refused, even when one of them carries a zero."""
         terms: Dict[PBWMonomial, Scalar] = {}
@@ -446,17 +457,27 @@ def weight(vec: ExponentVector) -> int:
     return sum((position + 1) * entry for position, entry in enumerate(vec))
 
 
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
 def reverse_lex_compare(a: ExponentVector, b: ExponentVector) -> int:
     """-1, 0, or +1; the entry at index 0 (rightmost) decides first."""
     if len(a) != len(b):
         raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return 1 if x > y else -1
-    return 0
+    return _sign(tuple(reversed(a)), tuple(reversed(b)))
 
 
 PairOfVectors = Tuple[ExponentVector, ExponentVector]
+
+
+def _principal_key(pair: PairOfVectors) -> Tuple[int, ExponentVector, ExponentVector]:
+    """The principal order as a sort key, for pairs whose blocks share one
+    length: total weight, then the second block reverse lexicographically,
+    then the first."""
+    first, second = pair
+    total = weight(first) + weight(second)
+    return total, tuple(reversed(second)), tuple(reversed(first))
 
 
 def principal_compare(p1: PairOfVectors, p2: PairOfVectors) -> int:
@@ -465,14 +486,7 @@ def principal_compare(p1: PairOfVectors, p2: PairOfVectors) -> int:
     (j1, i1), (j2, i2) = p1, p2
     if len(j1) != len(i1) or len(j2) != len(i2) or len(j1) != len(j2):
         raise LengthMismatch("pair blocks must share one length")
-    w1 = weight(i1) + weight(j1)
-    w2 = weight(i2) + weight(j2)
-    if w1 != w2:
-        return 1 if w1 > w2 else -1
-    by_second = reverse_lex_compare(i1, i2)
-    if by_second:
-        return by_second
-    return reverse_lex_compare(j1, j2)
+    return _sign(_principal_key(p1), _principal_key(p2))
 
 
 def epsilon(length: int, k: int) -> ExponentVector:
@@ -494,9 +508,17 @@ def _vec_sub(a: ExponentVector, b: ExponentVector) -> ExponentVector:
 _BLOCKS = {"JI": ("J", "I"), "HL": ("H", "L")}
 
 
+def _block_families(block: str) -> Tuple[str, str]:
+    """The two families of a block, the first one first."""
+    if block not in _BLOCKS:
+        raise ValueError(f"unknown block {block!r}")
+    return _BLOCKS[block]
+
+
 def block_length(datum: WhittakerDatum, block: str) -> int:
-    """A block's generators have indices 0..length-1: n for JI, m for HL."""
-    return datum.n if block == "JI" else datum.m
+    """A block's generators have indices 0..length-1, below the subalgebra
+    threshold of its families: n for JI, m for HL."""
+    return datum.thresholds[_block_families(block)[0]]
 
 
 def vector_degree(
@@ -508,13 +530,11 @@ def vector_degree(
     indices in [0, block_length); the first component of the result collects
     the first family's exponents, the second the second family's.
     """
-    if block not in _BLOCKS:
-        raise ValueError(f"unknown block {block!r}")
+    fam_first, fam_second = _block_families(block)
     if not v:
         raise ZeroVector("the zero vector has no degree")
-    fam_first, fam_second = _BLOCKS[block]
-    best: Optional[PairOfVectors] = None
-    for mono in v.terms:
+
+    def exponents(mono: PBWMonomial) -> PairOfVectors:
         first = [0] * block_length
         second = [0] * block_length
         for g, exp in mono.factors:
@@ -526,10 +546,9 @@ def vector_degree(
                 second[block_length - 1 - g.index] = exp
             else:
                 raise UnsupportedMonomial(f"{mono} strays outside the block")
-        pair = (tuple(first), tuple(second))
-        if best is None or principal_compare(pair, best) > 0:
-            best = pair
-    return best
+        return tuple(first), tuple(second)
+
+    return max(map(exponents, v.terms), key=_principal_key)
 
 
 # -- degree-drop checks -------------------------------------------------------
@@ -567,21 +586,28 @@ class DegreeReport:
         }
 
 
-def _require_degree_hypotheses(datum: WhittakerDatum, block: str) -> None:
-    m, n = datum.m, datum.n
-    if (m + n) % 2 != 0:
-        raise PreconditionViolated("m and n must have the same parity")
-    top = m + n - 1
+def _require_top_pair(datum: WhittakerDatum) -> int:
+    """The top index m+n-1, once psi(I) and psi(J) are checked not to
+    vanish there."""
+    top = datum.m + datum.n - 1
     if not datum.psi(I(top)) or not datum.psi(J(top)):
         raise PreconditionViolated(
             f"psi(I[{top}]) and psi(J[{top}]) must both be nonzero"
         )
-    if block == "HL":
-        # The leading-term bookkeeping in the HL block assumes every L/H
-        # value at index m+n and above has been normalized away.
-        for g in datum.support():
-            if g.family in ("L", "H") and g.index >= m + n and datum.psi(g):
-                raise PreconditionViolated(f"psi({gen_str(g)}) must vanish")
+    return top
+
+
+def _require_degree_hypotheses(datum: WhittakerDatum, block: str) -> int:
+    """Check the degree-drop hypotheses and return the top index."""
+    if (datum.m + datum.n) % 2 != 0:
+        raise PreconditionViolated("m and n must have the same parity")
+    top = _require_top_pair(datum)
+    # The leading-term bookkeeping in the HL block assumes every L/H value
+    # at index m+n and above has been normalized away.
+    unnormalized = datum.unnormalized() if block == "HL" else []
+    if unnormalized:
+        raise PreconditionViolated(f"psi({gen_str(unnormalized[0])}) must vanish")
+    return top
 
 
 def check_degree_reduction(
@@ -594,17 +620,14 @@ def check_degree_reduction(
     nonzero.  With two candidate operators at least one must achieve the
     predicted degree, and ``branch`` names the first that does.
     """
-    if block not in _BLOCKS:
-        raise ValueError(f"unknown block {block!r}")
     length = block_length(datum, block)
     if length < 1:
         raise PreconditionViolated(f"the {block} block is empty")
-    _require_degree_hypotheses(datum, block)
+    top = _require_degree_hypotheses(datum, block)
     degree = vector_degree(v, block, length)
     first, second = degree
     if not any(first) and not any(second):
         raise PreconditionViolated("vector is a multiple of the cyclic vector")
-    top = datum.m + datum.n - 1
 
     first_case, second_case = _DROP_CASES[block]
     if any(first):
@@ -646,7 +669,7 @@ def _free_generators(
 ) -> List[Tuple[Generator, int]]:
     out: List[Tuple[Generator, int]] = []
     for fam in ("J", "I", "H", "L"):
-        threshold = datum.n if fam in ("I", "J") else datum.m
+        threshold = datum.thresholds[fam]
         for wt in range(1, weight_bound + 1):
             out.append((Generator(fam, threshold - wt), wt))
     out.sort(key=lambda pair: gen_key(pair[0]))
@@ -691,12 +714,11 @@ class SearchReport:
 def _search_operators(
     datum: WhittakerDatum, index_max: int
 ) -> List[Generator]:
-    ops: List[Generator] = []
-    for fam in ("L", "H"):
-        ops.extend(Generator(fam, p) for p in range(datum.m, index_max + 1))
-    for fam in ("I", "J"):
-        ops.extend(Generator(fam, p) for p in range(datum.n, index_max + 1))
-    return ops
+    return [
+        Generator(fam, p)
+        for fam in ("L", "H", "I", "J")
+        for p in range(datum.thresholds[fam], index_max + 1)
+    ]
 
 
 def _generating_set(datum: WhittakerDatum) -> List[Generator]:
@@ -810,11 +832,7 @@ def twist_matrices(datum: WhittakerDatum) -> Tuple[Matrix, Matrix, Matrix, Matri
     m, n = datum.m, datum.n
     if m < n:
         raise PreconditionViolated("twist normalization requires m >= n")
-    top = m + n - 1
-    if not datum.psi(I(top)) or not datum.psi(J(top)):
-        raise PreconditionViolated(
-            f"psi(I[{top}]) and psi(J[{top}]) must both be nonzero"
-        )
+    top = _require_top_pair(datum)
     size = m - n + 1
 
     def build(entry) -> Matrix:
@@ -887,9 +905,10 @@ def solve_twist(datum: WhittakerDatum) -> TwistResult:
             twisted_values[g] = value
     twisted = validate_whittaker(twisted_values, m, n)
 
-    for g in positions:
-        if g.index >= m + n and twisted.psi(g):
-            raise AssertionError(f"twist failed to clear an {g.family} value; bug")
+    uncleared = twisted.unnormalized()
+    if uncleared:
+        family = uncleared[0].family
+        raise AssertionError(f"twist failed to clear an {family} value; bug")
     return TwistResult(
         a=coeff_a, b=coeff_b, translation=translation, twisted=twisted
     )
@@ -901,9 +920,14 @@ def solve_twist(datum: WhittakerDatum) -> TwistResult:
 @dataclass
 class Psi14Result:
     matrix: Matrix
-    coefficients: List[Scalar]
+    kernel: List[List[Scalar]]
     witness: ModuleVector
     datum: WhittakerDatum
+
+    @property
+    def coefficients(self) -> List[Scalar]:
+        """The witness's coefficients: the first kernel vector."""
+        return self.kernel[0]
 
 
 def psi14_matrix(alpha: Scalar, beta: Scalar) -> Matrix:
@@ -945,8 +969,7 @@ def example_psi14_witness(alpha: Scalar, beta: Scalar) -> Psi14Result:
     kernel = matrix_nullspace(matrix)
     if not kernel:
         raise AssertionError("the candidate matrix was unexpectedly injective")
-    coefficients = kernel[0]
-    a1, a2, a3, a4, a5 = coefficients
+    a1, a2, a3, a4, a5 = kernel[0]
     witness = ModuleVector(
         {
             PBWMonomial(((I(2), 1),)): a1,
@@ -958,4 +981,4 @@ def example_psi14_witness(alpha: Scalar, beta: Scalar) -> Psi14Result:
     )
     if not _is_whittaker_vector(datum, witness, 12):
         raise AssertionError("the kernel vector is not a Whittaker vector")
-    return Psi14Result(matrix, coefficients, witness, datum)
+    return Psi14Result(matrix, kernel, witness, datum)

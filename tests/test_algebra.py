@@ -183,6 +183,19 @@ def test_element_json_round_trip():
     assert Element.from_json(element.to_json()) == element
 
 
+@pytest.mark.parametrize(
+    "data, name",
+    [
+        ({"L[1]": "1", " L[1]": "2"}, r"L\[1\]"),
+        ({"c2": "0", "c2 ": "3"}, "c2"),
+        ({"J[-1]": "5", "J[-1]\t": "0"}, r"J\[-1\]"),
+    ],
+)
+def test_element_json_refuses_two_spellings_of_one_generator(data, name):
+    with pytest.raises(ValueError, match=rf"^duplicate value for {name}$"):
+        Element.from_json(data)
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         Generator("L")

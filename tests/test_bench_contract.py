@@ -4,10 +4,12 @@
 traced run and puts the originals back afterwards.  It reads each class
 attribute from the class's own ``__dict__``, so a refactor that moves a
 patch target (``Poly.__mul__``, ``Scalar.__add__``, ``CachedAction.act``,
-...) into a base class breaks traced runs.  This test installs and removes
-the instrumentation without running any work.
+...) into a base class breaks traced runs.  The first test installs and
+removes the instrumentation without running any work; the second runs the
+benchmark's own self-test, which traces one small item of each workload.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +71,17 @@ def test_install_then_restore_leaves_every_attribute_original(tracing):
         assert now.keys() == attrs.keys(), owner
         for attr, value in attrs.items():
             assert now[attr] is value, f"{owner}.{attr} was not restored"
+
+
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` runs one small item of each workload traced
+    and plain: the reports must match, the closure probe must not call
+    ``bracket_basis``, and every patch must be restored."""
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

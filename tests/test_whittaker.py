@@ -33,6 +33,7 @@ from planargca.whittaker import (
     UnsupportedMonomial,
     ZeroVector,
     annihilation_bound,
+    block_length,
     check_degree_reduction,
     epsilon,
     example_psi14_witness,
@@ -557,6 +558,185 @@ def test_vector_degree_wrong_block():
         vector_degree(ModuleVector.zero(), "JI", 2)
 
 
+def test_unknown_block_is_refused_as_such():
+    datum = psi_11()
+    v = vec((mono((J(0), 1)), ONE))
+    for call in (
+        lambda: block_length(datum, "XY"),
+        lambda: random_block_vector(random.Random(0), datum, "XY"),
+        lambda: vector_degree(v, "XY", 1),
+        lambda: check_degree_reduction(datum, v, "XY"),
+    ):
+        with pytest.raises(ValueError, match=r"^unknown block 'XY'$"):
+            call()
+
+
+# -- the order rules against the pairwise loops they replaced ---------------------
+
+
+def reference_reverse_lex(a, b):
+    if len(a) != len(b):
+        raise LengthMismatch(f"lengths {len(a)} and {len(b)} differ")
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x > y else -1
+    return 0
+
+
+def reference_principal(p1, p2):
+    (j1, i1), (j2, i2) = p1, p2
+    if len(j1) != len(i1) or len(j2) != len(i2) or len(j1) != len(j2):
+        raise LengthMismatch("pair blocks must share one length")
+    w1 = weight(i1) + weight(j1)
+    w2 = weight(i2) + weight(j2)
+    if w1 != w2:
+        return 1 if w1 > w2 else -1
+    by_second = reference_reverse_lex(i1, i2)
+    if by_second:
+        return by_second
+    return reference_reverse_lex(j1, j2)
+
+
+def reference_vector_degree(v, block, length):
+    fam_first, fam_second = {"JI": ("J", "I"), "HL": ("H", "L")}[block]
+    best = None
+    for term in v.terms:
+        first = [0] * length
+        second = [0] * length
+        for g, exp in term.factors:
+            if g.index is None or not 0 <= g.index < length:
+                raise UnsupportedMonomial(f"{term} strays outside the block")
+            if g.family == fam_first:
+                first[length - 1 - g.index] = exp
+            elif g.family == fam_second:
+                second[length - 1 - g.index] = exp
+            else:
+                raise UnsupportedMonomial(f"{term} strays outside the block")
+        pair = (tuple(first), tuple(second))
+        if best is None or reference_principal(pair, best) > 0:
+            best = pair
+    return best
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def exponent_vectors(length):
+    return st.lists(st.integers(0, 3), min_size=length, max_size=length).map(tuple)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two exponent vectors, of one length half the time."""
+    first = draw(exponent_vectors(draw(st.integers(0, 4))))
+    same = draw(st.booleans())
+    length = len(first) if same else draw(st.integers(0, 4))
+    return first, draw(exponent_vectors(length))
+
+
+@st.composite
+def pair_pairs(draw):
+    """Two (first, second) pairs, all four blocks of one length unless a
+    length is redrawn."""
+    length = draw(st.integers(0, 3))
+    blocks = []
+    for _ in range(4):
+        own = draw(st.integers(0, 3)) if draw(st.integers(0, 9)) == 0 else length
+        blocks.append(draw(exponent_vectors(own)))
+    return (blocks[0], blocks[1]), (blocks[2], blocks[3])
+
+
+@given(vector_pairs())
+@settings(max_examples=300, deadline=None)
+def test_reverse_lex_compare_matches_pairwise_loop(vectors):
+    assert outcome(reverse_lex_compare, *vectors) == outcome(
+        reference_reverse_lex, *vectors
+    )
+
+
+@given(pair_pairs())
+@settings(max_examples=300, deadline=None)
+def test_principal_compare_matches_pairwise_loop(pairs):
+    assert outcome(principal_compare, *pairs) == outcome(
+        reference_principal, *pairs
+    )
+
+
+@st.composite
+def block_vectors(draw):
+    """A datum shape, a block, its length and a vector mostly on the block;
+    one term in ten carries a factor outside it."""
+    m, n = draw(st.sampled_from([(1, 1), (2, 2), (3, 1), (2, 4)]))
+    block = draw(st.sampled_from(["JI", "HL"]))
+    length = n if block == "JI" else m
+    families = {"JI": ("J", "I"), "HL": ("H", "L")}[block]
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        factors = [
+            (Generator(family, idx), draw(st.integers(0, 3)))
+            for family in families
+            for idx in range(length)
+        ]
+        if draw(st.integers(0, 9)) == 0:
+            family = draw(st.sampled_from("LHIJ"))
+            factors.append((Generator(family, length), 1))
+        factors = sorted(
+            ((g, e) for g, e in factors if e), key=lambda pair: gen_key(pair[0])
+        )
+        terms[PBWMonomial(factors)] = sc(draw(st.integers(1, 5)))
+    return block, length, ModuleVector(terms)
+
+
+@given(block_vectors())
+@settings(max_examples=300, deadline=None)
+def test_vector_degree_matches_pairwise_loop(case):
+    block, length, v = case
+    assert outcome(vector_degree, v, block, length) == outcome(
+        reference_vector_degree, v, block, length
+    )
+
+
+# -- the subalgebra thresholds -----------------------------------------------------
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (1, 1), (2, 1), (1, 3), (3, 2), (2, 4)])
+def test_subalgebra_membership_matches_reference(m, n):
+    datum = validate_whittaker({}, m, n)
+    for family in "LHIJ":
+        start = m if family in "LH" else n
+        for index in range(-5, 2 * m + n + 6):
+            g = Generator(family, index)
+            assert datum.in_subalgebra(g) == (index >= start), g
+            assert datum.is_free(g) == (index < start), g
+    for g in CENTRALS:
+        assert datum.in_subalgebra(g) and not datum.is_free(g)
+    assert block_length(datum, "JI") == n
+    assert block_length(datum, "HL") == m
+
+
+# -- the L/H normalization rule ----------------------------------------------------
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 0), (2, 2), (3, 1)])
+def test_unnormalized_lists_nonzero_lh_values_from_m_plus_n(m, n):
+    datum = validate_whittaker({}, m, n)
+    positions = [g for g in datum.support() if g.family in ("L", "H")]
+    values = {g: sc(k + 1) for k, g in enumerate(positions)}
+    datum = validate_whittaker(values, m, n)
+    assert datum.unnormalized() == [g for g in positions if g.index >= m + n]
+    # A value exactly at index m + n counts; zero values never do.
+    edge = [g for g in positions if g.index == m + n]
+    assert edge
+    datum = validate_whittaker({g: sc(1) for g in edge}, m, n)
+    assert datum.unnormalized() == edge
+    assert validate_whittaker({g: "0" for g in positions}, m, n).unnormalized() == []
+
+
 # -- degree-drop checks ---------------------------------------------------------
 
 
@@ -994,6 +1174,16 @@ def test_psi14_kernel_dimension_one_at_unit_parameters():
         sc(Fraction(-3, 2)),
         sc(1),
     ]
+
+
+def test_psi14_result_carries_the_kernel():
+    from planargca.linalg import matrix_nullspace
+
+    for alpha, beta in ((sc(1), sc(1)), (sc(Fraction(2, 3)), sc(-5))):
+        result = example_psi14_witness(alpha, beta)
+        assert result.kernel == matrix_nullspace(result.matrix)
+        assert result.coefficients == result.kernel[0]
+        assert len(result.kernel) == 1
 
 
 def test_psi14_witness_verified():
