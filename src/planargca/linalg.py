@@ -6,6 +6,9 @@ over sparse rows with integer-indexed columns.  It backs the orbit-closure
 probes and the singular-vector search, where rows arrive one at a time and
 most reduce to zero.  Because stored rows stay fully reduced against each
 other, reducing a new row is a single pass over its own pivot columns.
+A stored row's smallest column is its pivot, so a new pivot can occur
+only in stored rows whose pivot lies below it: back-substitution visits
+that prefix of the sorted pivot columns and no other row.
 
 Dense matrices are tuples of tuples of scalars, and stay tiny (well under
 50 rows).  ``matrix_solve``, ``matrix_nullspace`` and ``matrix_inverse``
@@ -17,6 +20,7 @@ stands independent of ``matrix_nullspace``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar, scalar_from_ints
@@ -207,6 +211,7 @@ class SparseEchelon:
 
     def __init__(self) -> None:
         self.pivots: Dict[int, Dict[int, Scalar]] = {}
+        self._order: List[int] = []  # the pivot columns, ascending
 
     @property
     def dimension(self) -> int:
@@ -229,7 +234,10 @@ class SparseEchelon:
         """Add ``row`` to the span; returns True if it was independent.
 
         The new row is stored last in ``pivots``, normalized to lead 1, and
-        its pivot column is cleared from every earlier row.
+        its pivot column is cleared from every earlier row.  Only rows whose
+        pivot lies below the new lead are visited: any other stored row's
+        smallest column, its pivot, is above the lead, so it has no entry
+        there.
         """
         remainder = self.reduce(row)
         if not remainder:
@@ -237,11 +245,14 @@ class SparseEchelon:
         lead = min(remainder)
         inv = remainder[lead].inverse()
         normalized = {col: coeff * inv for col, coeff in remainder.items()}
-        for stored in self.pivots.values():
+        pivots, order = self.pivots, self._order
+        for col in order[: bisect_left(order, lead)]:
+            stored = pivots[col]
             coeff = stored.get(lead)
             if coeff:
                 _subtract(stored, coeff, normalized)
-        self.pivots[lead] = normalized
+        insort(order, lead)
+        pivots[lead] = normalized
         return True
 
     def contains(self, row: Dict[int, Scalar]) -> bool:
@@ -253,6 +264,8 @@ class SparseEchelon:
         It has -row[free] at each pivot and is 0 at every other free column,
         so every inserted row kills it.
         """
+        if free in self.pivots:
+            raise ValueError(f"column {free} is a pivot column, not a free one")
         vector: Dict[int, Scalar] = {free: ONE}
         for pivot_col, pivot_row in self.pivots.items():
             coeff = pivot_row.get(free)

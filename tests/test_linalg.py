@@ -113,6 +113,14 @@ def test_sparse_echelon_kernel_extraction():
     assert echelon.kernel_vector_at_first_free_column(3) is None
 
 
+def test_sparse_echelon_kernel_vector_refuses_a_pivot_column():
+    echelon = SparseEchelon()
+    echelon.insert({2: sc(2), 5: sc(0, 1)})
+    with pytest.raises(ValueError, match="column 2 is a pivot column"):
+        echelon.kernel_vector(2)
+    assert echelon.kernel_vector(5) == {5: ONE, 2: sc(0, Fraction(-1, 2))}
+
+
 # -- reference elimination over Fraction pairs ---------------------------------
 #
 # An independent reduced row echelon form: a Gaussian rational is a pair
@@ -179,14 +187,24 @@ def _dense(row, ncols):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_sparse_echelon_is_canonical_reduced_form(data):
-    ncols = data.draw(st.integers(1, 5))
-    rows = _draw_rows(data, data.draw(st.integers(1, 4)), ncols)
+    ncols = data.draw(st.integers(1, 8))
+    rows = _draw_rows(data, data.draw(st.integers(1, 7)), ncols)
     expected_rows, expected_pivots = _reference_rref(rows)
-    orders = [rows, rows[::-1], data.draw(st.permutations(rows))]
+
+    def lead(row):
+        return next((col for col, entry in enumerate(row) if entry), ncols)
+
+    orders = [
+        rows,
+        rows[::-1],
+        data.draw(st.permutations(rows)),
+        sorted(rows, key=lambda row: -lead(row)),
+    ]
     for order in orders:
         echelon = SparseEchelon()
         for row in order:
             echelon.insert(dict(enumerate(row)))
+            assert echelon._order == sorted(echelon.pivots)
         assert echelon.dimension == len(expected_pivots)
         assert [_dense(row, ncols) for row in echelon.rows_sorted()] == expected_rows
         for lead, row in echelon.pivots.items():

@@ -19,11 +19,13 @@ from planargca.algebra import (
     L,
     bracket_basis,
     gen_key,
+    gen_str,
 )
-from planargca import whittaker
+from planargca import linalg, whittaker
+from planargca.linalg import SparseEchelon
 from planargca.pbw import PBWMonomial
 from planargca.sampling import random_block_vector
-from planargca.scalars import ONE, ZERO, Scalar, sc
+from planargca.scalars import ONE, ZERO, Scalar, accumulate, sc
 from planargca.whittaker import (
     DerivedAlgebraViolation,
     LengthMismatch,
@@ -1033,6 +1035,105 @@ def test_search_none_at_weight_seven(m, n):
     report = singular_vector_search(datum, 7)
     assert not report.found
     assert report.witness is None
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+def test_search_none_at_weight_eight(m, n):
+    # Criterion 4's data at 4809 basis monomials.
+    top = m + n - 1
+    datum = validate_whittaker({f"I[{top}]": "1", f"J[{top}]": "1"}, m, n)
+    report = singular_vector_search(datum, 8)
+    assert not report.found
+    assert report.witness is None
+    assert report.basis_size == 4809
+
+
+@pytest.mark.parametrize("bound", [-2, 0, True, 1.5, "3"])
+def test_search_refuses_a_bound_that_is_no_positive_int(bound):
+    with pytest.raises(ValueError, match="weight_bound must be a positive integer"):
+        singular_vector_search(psi_11(), bound)
+
+
+def test_search_elimination_work_guard(monkeypatch):
+    # A count of row updates, independent of machine speed.  Rows inserted
+    # by descending lead, back-substituted only into rows whose pivot lies
+    # below the new lead, make about 14.3k updates here; the
+    # (operator, output monomial) order made about 32.7k.
+    calls = [0]
+    subtract = linalg._subtract
+
+    def counted(*args):
+        calls[0] += 1
+        subtract(*args)
+
+    monkeypatch.setattr(linalg, "_subtract", counted)
+    singular_vector_search(psi_11(), 6)
+    assert calls[0] < 20_000
+
+
+def reference_search_echelon(datum, weight_bound):
+    """The search's columns and reduced system, with rows inserted in the
+    earlier order: sorted by (operator name, output monomial)."""
+    columns = sorted(
+        whittaker._monomials_up_to_weight(datum, weight_bound),
+        key=lambda pair: (pair[1], str(pair[0])),
+    )
+    action = whittaker._LeftAction(datum)
+    rows = {}
+    for col, (mono, _) in enumerate(columns):
+        for op in whittaker._generating_set(datum):
+            shifted = dict(action.image(op, mono))
+            accumulate(shifted, mono, -datum.psi(op))
+            for out_mono, coeff in shifted.items():
+                rows.setdefault((op, out_mono), {})[col] = coeff
+    echelon = SparseEchelon()
+    for key in sorted(rows, key=lambda key: (gen_str(key[0]), str(key[1]))):
+        echelon.insert(rows[key])
+    return columns, echelon
+
+
+_psi_value = st.sampled_from(
+    [ZERO, sc(1), sc(-2), sc(Fraction(1, 3)), sc(2, 1), sc(0, Fraction(-1, 2)), sc(3, -2)]
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_search_matches_the_earlier_row_order(data):
+    # Real and complex values with centrals; the top pair vanishes in about
+    # half the draws, and (1, 2) breaks parity, so many draws have a witness.
+    m, n = data.draw(st.sampled_from([(1, 1), (2, 2), (3, 1), (1, 2)]))
+    top = m + n - 1
+    values = {
+        gen_str(g): data.draw(_psi_value)
+        for g in whittaker.WhittakerDatum(m, n, {}).support() + list(CENTRALS)
+    }
+    for name in (f"I[{top}]", f"J[{top}]"):
+        values[name] = data.draw(st.sampled_from([ZERO, sc(1), sc(2, 1)]))
+    datum = validate_whittaker(values, m, n)
+    weight_bound = data.draw(st.integers(1, 4))
+    made = []
+
+    class Recorded(SparseEchelon):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(whittaker, "SparseEchelon", Recorded)
+        report = singular_vector_search(datum, weight_bound)
+    (echelon,) = made
+    columns, expected = reference_search_echelon(datum, weight_bound)
+    assert echelon.pivots == expected.pivots
+    kernel = expected.kernel_vector_at_first_free_column(len(columns))
+    assert echelon.kernel_vector_at_first_free_column(len(columns)) == kernel
+    if kernel is None:
+        assert report.witness is None
+    else:
+        scale = kernel[min(kernel)].inverse()
+        assert report.witness == ModuleVector(
+            {columns[col][0]: coeff * scale for col, coeff in kernel.items()}
+        )
 
 
 # -- the twist -------------------------------------------------------------------
