@@ -191,14 +191,14 @@ def test_sparse_echelon_is_canonical_reduced_form(data):
     rows = _draw_rows(data, data.draw(st.integers(1, 7)), ncols)
     expected_rows, expected_pivots = _reference_rref(rows)
 
-    def lead(row):
+    def first_nonzero(row):
         return next((col for col, entry in enumerate(row) if entry), ncols)
 
     orders = [
         rows,
         rows[::-1],
         data.draw(st.permutations(rows)),
-        sorted(rows, key=lambda row: -lead(row)),
+        sorted(rows, key=lambda row: -first_nonzero(row)),
     ]
     for order in orders:
         echelon = SparseEchelon()
