@@ -13,22 +13,13 @@ anything else.
 The induced cyclic module has a PBW basis of monomials in the remaining
 ("free") generators, L_k/H_k with k < m and I_k/J_k with k < n, applied to
 the cyclic vector; a ``ModuleVector`` is a ``LinearCombination`` of these
-monomials, and images are summed term by term with the shared
-``accumulate``.  ``whittaker_act`` computes a generator action by
-recursion on the first factor: writing a basis monomial as ``x u``, a free
-``g`` sorting at or before ``x`` is prepended, a central ``g`` (or any
-``g`` meeting the cyclic vector itself) evaluates to its psi-value, and
-otherwise ``g . x u = x . (g . u) + [g, x] . u``.  Every recursive image
-is of a monomial shorter than ``x u``, except x acting on the leading term
-of ``g . u``, which takes x in front at once; so the recursion terminates
-on the free PBW basis.  It runs on an explicit stack, so the length of a
-monomial is not limited by Python's recursion limit.
-Images are memoized per generator, then per monomial, within one scope:
-a single ``whittaker_act`` call, one degree check or witness check, or one
-whole singular-vector search.  The search's columns share the memo, since
+monomials.  ``whittaker_act`` runs the one left action of ``pbw`` with the
+datum: a generator of the subalgebra that is central, or meets the cyclic
+vector itself, evaluates to its psi-value.  Its memo scope is a single
+``whittaker_act`` call, one degree check or witness check, or one whole
+singular-vector search.  The search's columns share the memo, since
 column x u needs the images of its suffix u, and the memo is dropped
-before elimination.  A memoized image is a tuple of (monomial,
-coefficient) pairs, so sharing it is safe.
+before elimination.
 
 The singular-vector search asks the Whittaker condition only of a finite
 generating set S of the acting subalgebra (4m+1 operators, see
@@ -58,7 +49,6 @@ values at index m+n and above: the HL checks require there are none, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-import typing
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import (
@@ -69,13 +59,12 @@ from .algebra import (
     IJTranslation,
     J,
     L,
-    bracket_basis,
     gen_key,
     gen_str,
     parse_gen,
 )
 from .linalg import Matrix, SparseEchelon, matrix_solve
-from .pbw import MONOMIAL_ONE, PBWMonomial, display_order
+from .pbw import MONOMIAL_ONE, PBWMonomial, _LeftAction, display_order
 from .scalars import (
     ONE,
     ZERO,
@@ -270,146 +259,6 @@ class ModuleVector(LinearCombination):
                 raise ValueError(f"duplicate coefficient for monomial {mono}")
             terms[mono] = read_scalar(value, f"the coefficient of {key}")
         return ModuleVector(terms)
-
-
-Terms = Dict[PBWMonomial, Scalar]
-# A memoized image: its (monomial, coefficient) pairs, ``()`` for zero.
-Image = Tuple[Tuple[PBWMonomial, Scalar], ...]
-
-
-def _prepend(g: Generator, mono: PBWMonomial) -> PBWMonomial:
-    """``g * mono`` for a generator sorting at or before the first factor."""
-    factors = mono.factors
-    if factors and factors[0][0] == g:
-        return PBWMonomial(((g, factors[0][1] + 1),) + factors[1:])
-    return PBWMonomial(((g, 1),) + factors)
-
-
-class _LeftAction:
-    """Generator images of free PBW monomials, memoized per generator, then
-    per monomial.
-
-    One instance is one memo scope (see the module docstring).  Memoized
-    images are tuples, so every caller can share them.
-    """
-
-    __slots__ = ("datum", "memo")
-
-    def __init__(self, datum: WhittakerDatum):
-        self.datum = datum
-        self.memo: Dict[Generator, Dict[PBWMonomial, Image]] = {}
-
-    def _table(self, g: Generator) -> Dict[PBWMonomial, Image]:
-        table = self.memo.get(g)
-        if table is None:
-            table = self.memo[g] = {}
-        return table
-
-    def image(self, g: Generator, mono: PBWMonomial) -> Image:
-        """``g . mono . w`` for a monomial in the free generators.
-
-        Each image that is not a leaf is computed by a generator frame,
-        which yields every key it needs that is not yet memoized and is
-        sent its image.  The frames sit on an explicit stack, so the depth
-        of the recursion never reaches Python's stack.
-        """
-        table = self._table(g)
-        found = table.get(mono)
-        if found is not None:
-            return found
-        found = self._leaf(g, mono)
-        if found is not None:
-            table[mono] = found
-            return found
-        keys = [(table, mono)]
-        frames = [self._expand(g, mono)]
-        found = None
-        while frames:
-            try:
-                g, mono = frames[-1].send(found)
-            except StopIteration as done:
-                table, mono = keys.pop()
-                found = table[mono] = done.value
-                frames.pop()
-                continue
-            found = self._leaf(g, mono)
-            if found is not None:
-                self._table(g)[mono] = found
-            else:
-                keys.append((self._table(g), mono))
-                frames.append(self._expand(g, mono))
-        return found
-
-    def _leaf(self, g: Generator, mono: PBWMonomial) -> Optional[Image]:
-        """The image when it needs no other image, else ``None``."""
-        datum = self.datum
-        factors = mono.factors
-        if not datum.is_free(g):
-            if g.is_central or not factors:
-                value = datum.psi(g)
-                return ((mono, value),) if value else ()
-        elif not factors or gen_key(g) <= gen_key(factors[0][0]):
-            return ((_prepend(g, mono), ONE),)
-        return None
-
-    def _expand(
-        self, g: Generator, mono: PBWMonomial
-    ) -> typing.Generator[Tuple[Generator, PBWMonomial], Image, Image]:
-        """``g . x u = x . (g . u) + [g, x] . u`` for a non-leaf image."""
-        factors = mono.factors
-        x, exp = factors[0]
-        rest = PBWMonomial(
-            ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
-        )
-        out: Terms = {}
-        head = self._table(g).get(rest)
-        if head is None:
-            head = yield (g, rest)
-        x_table = self._table(x)
-        for term, coeff in head:
-            found = x_table.get(term)
-            if found is None:
-                found = yield (x, term)
-            # x . term is most often x prepended, with factor ONE; keeping
-            # coeff itself shares it instead of storing an equal copy.
-            for result, factor in found:
-                accumulate(out, result, coeff if factor is ONE else coeff * factor)
-        for h, coeff in bracket_basis(g, x).terms.items():
-            found = self._table(h).get(rest)
-            if found is None:
-                found = yield (h, rest)
-            for result, factor in found:
-                accumulate(out, result, coeff * factor)
-        return tuple(out.items())
-
-    def _apply(self, g: Generator, terms: Terms, out: Terms) -> Terms:
-        """Accumulate ``g`` applied to free-basis ``terms`` into ``out``."""
-        for mono, coeff in terms.items():
-            for term, factor in self.image(g, mono):
-                accumulate(out, term, coeff * factor)
-        return out
-
-    def _normal_form(self, mono: PBWMonomial, coeff: Scalar) -> Terms:
-        """``coeff * mono . w`` on the free basis, for any monomial.
-
-        Vectors read from configs may carry subalgebra or central factors;
-        those are applied to the cyclic vector right to left first.
-        """
-        if all(self.datum.is_free(g) for g, _ in mono.factors):
-            return {mono: coeff}
-        terms: Terms = {MONOMIAL_ONE: coeff}
-        for g in reversed(mono.word()):
-            terms = self._apply(g, terms, {})
-        return terms
-
-    def act(self, g: Generator, v: ModuleVector) -> ModuleVector:
-        out: Terms = {}
-        for mono, coeff in v.terms.items():
-            self._apply(g, self._normal_form(mono, coeff), out)
-        return ModuleVector(out)
-
-    def shifted(self, g: Generator, v: ModuleVector) -> ModuleVector:
-        return self.act(g, v) - v.scale(self.datum.psi(g))
 
 
 def whittaker_act(

@@ -42,6 +42,8 @@ from planargca.whittaker import (
 )
 from planargca.scalars import scalar_pow
 
+from test_pbw import reference_straighten
+
 SIGMA_ONE = [{"xexp": 0, "yexp": 0, "coeff": "1"}]
 SIGMA_X = [{"xexp": 1, "yexp": 0, "coeff": "1"}]
 
@@ -427,10 +429,15 @@ def test_criterion_8_tensor_probes():
 
 
 def test_criterion_9_straightening_confluence():
+    # The engine under both association orders against the worklist
+    # reference under both inversion orders.
     rng = random.Random(404)
     for _ in range(100):
         word = random_word(rng, 5, 3)
-        assert straighten(word, "leftmost") == straighten(word, "rightmost")
+        expected = reference_straighten(word, "leftmost")
+        assert reference_straighten(word, "rightmost") == expected
+        for strategy in ("leftmost", "rightmost"):
+            assert straighten(word, strategy) == expected
     print("PASS criterion-9: confluence on 100 random words")
 
 

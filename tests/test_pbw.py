@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planargca.algebra import C3, H, I, J, L, gen_key
+from planargca.algebra import C3, CENTRALS, Generator, H, I, J, L, bracket_basis, gen_key
 from planargca.pbw import (
     MONOMIAL_ONE,
     EnvelopingElement,
@@ -11,11 +13,57 @@ from planargca.pbw import (
     straighten,
 )
 from planargca.sampling import random_word
-from planargca.scalars import ONE, sc
+from planargca.scalars import ONE, accumulate, sc
 
 
 def mono(*factors):
     return PBWMonomial(tuple(factors))
+
+
+def _find_inversion(word, strategy):
+    positions = range(len(word) - 1)
+    if strategy == "rightmost":
+        positions = reversed(positions)
+    elif strategy != "leftmost":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for i in positions:
+        if gen_key(word[i]) > gen_key(word[i + 1]):
+            return i
+    return None
+
+
+def reference_straighten(word, strategy="leftmost"):
+    """Worklist normal ordering, independent of the left action in ``pbw``:
+    swap the leftmost (or rightmost) adjacent out-of-order pair ``g h`` into
+    ``h g + [g, h]`` until every word is sorted."""
+    out = {}
+    stack = [(ONE, tuple(word))]
+    while stack:
+        coeff, current = stack.pop()
+        pos = _find_inversion(current, strategy)
+        if pos is None:
+            accumulate(out, PBWMonomial.from_word(current), coeff)
+            continue
+        g, h = current[pos], current[pos + 1]
+        swapped = current[:pos] + (h, g) + current[pos + 2:]
+        stack.append((coeff, swapped))
+        for gen, factor in bracket_basis(g, h).terms.items():
+            shorter = current[:pos] + (gen,) + current[pos + 2:]
+            stack.append((coeff * factor, shorter))
+    return EnvelopingElement(out)
+
+
+@st.composite
+def words(draw, max_length=9):
+    """A word of up to ``max_length`` generators, centrals included, with
+    indices bounded by a drawn bound in 1..4."""
+    bound = draw(st.integers(1, 4))
+    indexed = st.builds(
+        Generator, st.sampled_from("LHIJ"), st.integers(-bound, bound)
+    )
+    return draw(
+        st.lists(st.one_of(indexed, st.sampled_from(CENTRALS)), max_size=max_length)
+    )
 
 
 def test_commuting_swap():
@@ -88,6 +136,42 @@ def test_multiply_associative_sampled():
         v = straighten(random_word(rng, 2, 2))
         w = straighten(random_word(rng, 2, 2))
         assert multiply(u, multiply(v, w)) == multiply(multiply(u, v), w)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(words(), st.data())
+def test_engine_matches_worklist_reference(word, data):
+    # Both association orders of the engine against both inversion orders
+    # of the worklist; a product of two straightened halves is the whole
+    # word straightened.
+    expected = reference_straighten(word, "leftmost")
+    assert reference_straighten(word, "rightmost") == expected
+    for strategy in ("leftmost", "rightmost"):
+        assert straighten(word, strategy) == expected
+    cut = data.draw(st.integers(0, len(word)))
+    a, b = word[:cut], word[cut:]
+    assert multiply(straighten(a), straighten(b)) == expected
+
+
+def test_straighten_past_the_recursion_limit():
+    # [H_1, H_-1] = c3 is central, so H_1 H_-1^k = H_-1^k H_1 + k H_-1^(k-1) c3.
+    # At k = 600 the word is deeper than Python's default recursion limit.
+    def closed_form(k):
+        return EnvelopingElement(
+            {
+                mono((H(-1), k), (H(1), 1)): ONE,
+                mono((H(-1), k - 1), (C3, 1)): sc(k),
+            }
+        )
+
+    assert straighten([H(1)] + [H(-1)] * 600) == closed_form(600)
+    assert straighten([H(1)] + [H(-1)] * 60, "rightmost") == closed_form(60)
+
+
+@pytest.mark.parametrize("word", [[], [L(0)]])
+def test_straighten_refuses_an_unknown_strategy(word):
+    with pytest.raises(ValueError, match="'middle'"):
+        straighten(word, "middle")
 
 
 def test_confluence_leftmost_vs_rightmost():
