@@ -54,15 +54,15 @@ def reference_straighten(word, strategy="leftmost"):
 
 
 @st.composite
-def words(draw, max_length=9):
-    """A word of up to ``max_length`` generators, centrals included, with
-    indices bounded by a drawn bound in 1..4."""
+def words(draw):
+    """A word of up to 9 generators, centrals included, with indices
+    bounded by a drawn bound in 1..4."""
     bound = draw(st.integers(1, 4))
     indexed = st.builds(
         Generator, st.sampled_from("LHIJ"), st.integers(-bound, bound)
     )
     return draw(
-        st.lists(st.one_of(indexed, st.sampled_from(CENTRALS)), max_size=max_length)
+        st.lists(st.one_of(indexed, st.sampled_from(CENTRALS)), max_size=9)
     )
 
 
