@@ -330,7 +330,7 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
                 "seed": seed_poly.to_json(),
                 "dimension": probe.dimension,
                 "contains_one": probe.contains_one,
-                "truncated": probe.truncated,
+                "dimension_by_degree": probe.dimension_by_degree,
             }
         )
     return checks

@@ -30,27 +30,34 @@ to ``Scalar`` coefficients; ``verify_omega_axioms`` calls the kernel
 directly and compares numerators, so it builds no ``Poly`` or ``Scalar``
 inside its loop.
 
-``submodule_closure_probe`` is a bounded semi-decision: reaching the
-constant polynomial 1 from a seed certifies (exactly, within the given
-index and degree bounds) that the seed generates a dense orbit; not
-reaching it is only evidence of a proper submodule, never a proof, since
-the module is infinite dimensional.  Its ``ClosureReport.basis`` is the
-reduced echelon basis of the span it found.  Per queued vector v it acts
-with each family at no more than deg_Y v + 1 indices (deg_Y v + 2 for L):
-lam^(-m) g_m v is a polynomial in m, so the other images lie in the span.
+``submodule_closure_probe`` computes a least fixed point: the smallest
+subspace W that contains the seed and holds g_m w for every generator with
+|m| up to the index bound and every w in W whose image stays within the
+degree cap.  W does not depend on the order of visits.  The probe spins
+the seed MeatAxe style, over columns ordered by descending total degree,
+so each stored remainder's pivot is its top monomial and the remainders of
+degree at most k span W ∩ P≤k.  It is a bounded semi-decision: 1 in W
+certifies (exactly, within the given bounds) that the seed generates a
+dense orbit; 1 outside W is only evidence of a proper submodule, never a
+proof, since the module is infinite dimensional.  The report gives dim W,
+dim W ∩ P≤k for every k up to the cap, and the reduced echelon basis of
+W.  Per queued remainder v it acts with each family at no more than
+deg_Y v + 1 indices (deg_Y v + 2 for L): lam^(-m) g_m v is a polynomial
+in m, so the other images lie in W.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .algebra import Generator, bracket_basis, generators_up_to
 from .linalg import SparseEchelon
-from .poly import P_ONE, P_ZERO, Poly
-from .scalars import Scalar, scalar_from_ints, scalar_pow
+from .poly import P_ZERO, Poly
+from .scalars import ONE, Scalar, scalar_from_ints, scalar_pow
 
 __all__ = [
     "InvalidSpec",
@@ -372,14 +379,19 @@ def verify_omega_axioms(
 
 
 def _monomial_table(max_degree: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
-    """Fixed column order for polynomials of bounded total degree."""
+    """Fixed column order for polynomials of bounded total degree.
+
+    Columns run by descending total degree, then ascending X-degree, so a
+    row's smallest column, its ``SparseEchelon`` pivot, is one of its
+    top-degree monomials.
+    """
     monomials = sorted(
         (
             (a, b)
             for a in range(max_degree + 1)
             for b in range(max_degree + 1 - a)
         ),
-        key=lambda m: (m[0] + m[1], m[0]),
+        key=lambda m: (-m[0] - m[1], m[0]),
     )
     return monomials, {m: i for i, m in enumerate(monomials)}
 
@@ -388,7 +400,7 @@ def _monomial_table(max_degree: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[
 class ClosureReport:
     dimension: int
     contains_one: bool
-    truncated: int
+    dimension_by_degree: List[int]
     index_bound: int
     degree_cap: int
     basis: List[list]
@@ -397,18 +409,39 @@ class ClosureReport:
 def submodule_closure_probe(
     spec: OmegaSpec, seed: Poly, index_bound: int, degree_cap: int
 ) -> ClosureReport:
-    """Span of the seed's orbit under all generators up to the index bound.
+    """The least subspace W that contains the seed and satisfies
 
-    Vectors whose total degree exceeds the cap are discarded (counted as
-    truncated directions, not errors), so the reported span is a subspace
-    of the true orbit span.  The probe iterates to a fixed point and reports
-    whether the constant polynomial 1 lies in the span.  Image degrees are
-    predicted by ``degree_raise`` before acting, so images over the cap and
-    zero images are never computed.  ``basis`` is the reduced echelon basis
-    of the span (see ``linalg.SparseEchelon``).
+        g_m(W ∩ P≤(cap - rise(g_m))) ⊆ W   for every g_m with |m| <= index_bound,
 
-    Most images within the cap are never computed either, because they
-    provably lie in the span already.  By ``action_factors``,
+    where P≤k is the space of polynomials of total degree at most k and
+    rise is ``degree_raise``: every generator acts on every vector of W
+    whose image stays within the degree cap.  W is a least fixed point, so
+    it depends only on the spec, the span of the seed and the two bounds,
+    never on the order in which generators or vectors are visited.  The
+    seed is kept even when it lies above the cap; it then acts on nothing
+    and W is its span.
+
+    The report gives dim W, whether the constant polynomial 1 lies in W,
+    ``dimension_by_degree`` (dim W ∩ P≤k for k = 0..cap) and ``basis``,
+    the reduced echelon basis of W over ``_monomial_table``'s columns.
+
+    The probe spins the seed (MeatAxe style): it inserts the seed into a
+    ``SparseEchelon`` and queues a copy of each normalized remainder that
+    the echelon stores, then acts on each queued remainder and inserts the
+    images.  The columns run by descending total degree, so each remainder's
+    pivot is its top monomial.  Every remainder is 0 at the pivots stored
+    before it, so in a nonzero combination of remainders the earliest one
+    of the highest degree keeps its pivot's coefficient: the combination
+    has that degree, and the remainders of degree at most k span W ∩ P≤k.
+    So W is closed exactly when every generator has acted on every
+    remainder whose degree its rise allows, which is what the queue does.
+    Copies are queued because back-substitution later changes the stored
+    rows in place.  The probe stops once dim W reaches dim P≤cap: W is then
+    all of P≤cap (or, for a seed above the cap, the seed's span), and no
+    image can add to it.
+
+    Most allowed images are never computed, because they provably lie in
+    W already.  By ``action_factors``,
 
         lam^(-m) g_m v = M_g(m) * v(X+dx, Y-m),
 
@@ -422,80 +455,59 @@ def submodule_closure_probe(
         g_m v = lam^m * sum_k l_k(m) lam^(-m_k) g_(m_k) v
 
     with the Lagrange basis polynomials l_k, for every index m.  Once a
-    family has produced J + 1 computed images of v (not truncated; a
-    family acting as zero produces none), each of them was inserted or
-    found dependent, and the span only grows, so every later image of v
-    under that family would reduce to zero, queue nothing and change
-    nothing.  The probe skips them.  The truncation test comes first, so
-    ``truncated`` counts the same images as without the skip, and the
-    report is the same.
+    family has produced J + 1 images of v (a family acting as zero
+    produces none), each of them was inserted or found to lie in the span,
+    and the span only grows, so every other image of v under that family,
+    inside the cap or not, is a combination of vectors of W and would
+    insert nothing.  The probe skips them; W is the same.
     """
     if not seed:
         raise ValueError("seed must be nonzero")
-    generators: List[Generator] = []
-    # Fixed insertion order: family rank then ascending index.
-    for fam in ("J", "I", "H", "L"):
+    # Every generator that acts as nonzero, with its rise in total degree.
+    generators = []
+    for fam in "JIHL":
         for idx in range(-index_bound, index_bound + 1):
-            generators.append(Generator(fam, idx))
+            g = Generator(fam, idx)
+            rise = degree_raise(spec, g)
+            if rise is not None:
+                generators.append((g, rise))
 
-    # Everything retained has total degree at most the cap (the seed is kept
-    # regardless), so a fixed column table covers all rows the probe stores.
+    # W lies in P≤cap plus the seed's span, so one table covers every row.
     monomials, column_of = _monomial_table(max(degree_cap, seed.total_degree()))
     basis = SparseEchelon()
-
-    def to_row(p: Poly) -> Dict[int, Scalar]:
-        return {column_of[mono]: coeff for mono, coeff in p.terms.items()}
-
     action = CachedAction(spec)
-    raises = {g: degree_raise(spec, g) for g in generators}
-    truncated = 0
-    queue: List[Poly] = [seed]
-    basis.insert(to_row(seed))
-    # Once the span saturates the whole degree-capped space nothing can
-    # change either report field, so exploration stops there.  With an
-    # over-cap seed the simple dimension count does not certify coverage,
-    # so the shortcut is disabled.
-    saturated = (
-        (degree_cap + 1) * (degree_cap + 2) // 2
-        if seed.total_degree() <= degree_cap
-        else None
-    )
-    while queue and (saturated is None or basis.dimension < saturated):
-        current = queue.pop(0)
+    queue: Deque[Poly] = deque()
+
+    def to_poly(row: Dict[int, Scalar]) -> Poly:
+        return Poly({monomials[col]: coeff for col, coeff in row.items()})
+
+    def spin(p: Poly) -> None:
+        if basis.insert({column_of[mono]: coeff for mono, coeff in p.terms.items()}):
+            # The new row is stored last; copy it before back-substitution.
+            queue.append(to_poly(basis.pivots[next(reversed(basis.pivots))]))
+
+    spin(seed)
+    full = (degree_cap + 1) * (degree_cap + 2) // 2
+    while queue and basis.dimension < full:
+        current = queue.popleft()
         degree = current.total_degree()
-        # Images each family may still compute before the rest lie in the
-        # span: J + 1, with J = deg_Y + 1 for L and deg_Y otherwise.
+        # Images each family may still compute before the rest lie in W:
+        # J + 1, with J = deg_Y + 1 for L and deg_Y otherwise.
         left = dict.fromkeys("JIH", current.y_degree() + 1)
         left["L"] = current.y_degree() + 2
-        for g in generators:
-            rise = raises[g]
-            if rise is None:
-                continue
-            if degree + rise > degree_cap:
-                truncated += 1
-                continue
-            if not left[g.family]:
-                continue
-            left[g.family] -= 1
-            image = action.act(g, current)
-            row = to_row(image)
-            if basis.insert(row):
-                queue.append(image)
+        for g, rise in generators:
+            if degree + rise <= degree_cap and left[g.family]:
+                left[g.family] -= 1
+                spin(action.act(g, current))
 
-    # The reduced echelon basis of the span, which does not depend on the
-    # order rows were inserted in: one polynomial per pivot, in column order
-    # (total degree, then X-degree), with coefficient 1 at its leading
-    # monomial and 0 at every other basis polynomial's leading monomial.
-    basis_polys = []
-    for row in basis.rows_sorted():
-        poly = Poly({monomials[col]: coeff for col, coeff in row.items()})
-        basis_polys.append(poly.to_json())
-    one_row = to_row(P_ONE)
+    degrees = [sum(monomials[col]) for col in basis.pivots]
     return ClosureReport(
         dimension=basis.dimension,
-        contains_one=basis.contains(one_row),
-        truncated=truncated,
+        contains_one=basis.contains({column_of[(0, 0)]: ONE}),
+        dimension_by_degree=[
+            sum(d <= k for d in degrees) for k in range(degree_cap + 1)
+        ],
         index_bound=index_bound,
         degree_cap=degree_cap,
-        basis=basis_polys,
+        basis=[to_poly(row).to_json() for row in basis.rows_sorted()],
     )

@@ -230,6 +230,14 @@ def test_criterion_2_omega_axioms():
     print(f"PASS criterion-2: module axioms for all five instances ({elapsed:.1f}s)")
 
 
+_CLOSURE_SPANS = {
+    "sigma0-sigma1": 66,
+    "sigma0-sigmaX": 55,
+    "0sigma-sigma1": 66,
+    "0sigma-sigmaX": 55,
+}
+
+
 def test_criterion_3_closure_corroboration():
     for name, (_, expected) in _CLOSURE_SEEDS.items():
         report = campaign_report(f"omega-closure-{name}")
@@ -238,9 +246,12 @@ def test_criterion_3_closure_corroboration():
         for check in closures:
             assert check["ok"], (name, check)
             assert check["contains_one"] == expected
+            # All of P≤10 for constant sigma, X * P≤9 for sigma = X.
+            if name in _CLOSURE_SPANS:
+                assert check["dimension"] == _CLOSURE_SPANS[name], (name, check)
     print(
-        "PASS criterion-3: closure reaches 1 for constant sigma and reports "
-        "the obstruction otherwise (10 seeds each)"
+        "PASS criterion-3: closure spans all of P<=10 for constant sigma, "
+        "X * P<=9 for sigma = X, and misses 1 for the delta family (10 seeds each)"
     )
 
 
@@ -479,15 +490,15 @@ _REPORT_SHA256 = {
     "omega-axioms-sigma0-sigmaX":
         "2fbc186a8e90cc5787257217d1bca546f5688e19f4eb38d98051e506c018a298",
     "omega-closure-0sigma-sigma1":
-        "ae7877290eba2fd1a1f1694c823dc6f72646c8605a43a429e8bdca6534da40be",
+        "ef3ff1c83acd1d0dc2cad0d7571eade60436089d41e0ebb088a322145baca5a6",
     "omega-closure-0sigma-sigmaX":
-        "bdd7a992696574c6c0e7fefa61983cd372b0b18c800a04d8af14a80fe1eafaa3",
+        "878e8754a32fff05e543eac997f7e18b6eab06c377d26ad86b410b3a59df1f6a",
     "omega-closure-delta":
-        "a49979dc936a5b4d528e8b5b81f571e47a222638ac62fdc9fde512f697d181e2",
+        "9bdb42f5414f06875aff0c0e685e336f70a2ff5ec7cd5e87050171f246533e88",
     "omega-closure-sigma0-sigma1":
-        "1b1e7ffc5ffc80ec5dbb96fceb078e01c982ea58f3645b1d337fda35579fee79",
+        "054aaa00a43a49d4dcf28fb9dfa66197222eb2257c9bb3edd8fe77c91524508a",
     "omega-closure-sigma0-sigmaX":
-        "230479eea3f7da48370e044b51d4825de09763b71458853020b33ec169c038fe",
+        "f3ebd18df6af8d2f64c62800ad966fab6e5633ecac43c162d85f3b1bbdc4398e",
     "psi14":
         "979ee1893e8725fc6172977edc26b7c157122062d5fc3f1ca126fe597260d15c",
     "search-11":

@@ -364,20 +364,84 @@ def test_axiom_sweep_reports_a_broken_table():
         assert (report.pairs_checked, report.violations) == reference_axioms(spec, 2, 1)
 
 
+def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", descending=False):
+    """The closure by its definition, without the probe's shortcuts.
+
+    Each pass acts with every generator on every row of the current reduced
+    echelon basis, keeps the images whose degree, tested after acting, is
+    within the cap, and inserts them; passes repeat until one inserts
+    nothing.  ``families`` and ``descending`` set the visiting order.
+    dim(W ∩ P≤k) is read off independently of the column order, as dim W
+    minus the rank of W's components of degree above k.
+    """
+    indices = range(-index_bound, index_bound + 1)
+    generators = [
+        Generator(family, idx)
+        for family in families
+        for idx in (reversed(indices) if descending else indices)
+    ]
+    monomials, column_of = _monomial_table(max(degree_cap, seed.total_degree()))
+
+    def to_row(p):
+        return {column_of[mono]: coeff for mono, coeff in p.terms.items()}
+
+    def to_poly(row):
+        return Poly({monomials[col]: coeff for col, coeff in row.items()})
+
+    action = CachedAction(spec)
+    basis = SparseEchelon()
+    basis.insert(to_row(seed))
+    inserted = True
+    while inserted:
+        inserted = False
+        for row in [dict(row) for row in basis.rows_sorted()]:
+            for g in generators:
+                image = action.act(g, to_poly(row))
+                if image and image.total_degree() <= degree_cap:
+                    inserted = basis.insert(to_row(image)) or inserted
+    rows = [to_poly(row) for row in basis.rows_sorted()]
+    by_degree = []
+    for k in range(degree_cap + 1):
+        above = SparseEchelon()
+        for poly in rows:
+            above.insert({
+                column_of[mono]: coeff
+                for mono, coeff in poly.terms.items()
+                if sum(mono) > k
+            })
+        by_degree.append(len(rows) - above.dimension)
+    return ClosureReport(
+        dimension=basis.dimension,
+        contains_one=basis.contains(to_row(P_ONE)),
+        dimension_by_degree=by_degree,
+        index_bound=index_bound,
+        degree_cap=degree_cap,
+        basis=[poly.to_json() for poly in rows],
+    )
+
+
 @pytest.mark.parametrize(
-    "spec, seed, dimension, truncated, contains_one",
+    "spec, seed, dimension, dimension_by_degree, contains_one",
     [
-        (sigma_zero(), X * Y + P_ONE, 19, 60, True),
-        (zero_sigma(lam=sc(3), eta=sc(1, 2), sigma=SIGMA_X2), SIGMA_X2 * Y, 9, 80, False),
-        (delta_only(delta=X * X), Y * Y + X, 16, 80, False),
+        pytest.param(
+            sigma_zero(), X * Y + P_ONE, 21, [1, 3, 6, 10, 15, 21], True, id="sigma1"
+        ),
+        pytest.param(
+            zero_sigma(lam=sc(3), eta=sc(1, 2), sigma=SIGMA_X2), SIGMA_X2 * Y,
+            10, [0, 0, 1, 3, 6, 10], False, id="sigmaX2",
+        ),
+        pytest.param(
+            delta_only(delta=X * X), Y * Y + X, 20, [0, 2, 5, 9, 14, 20], False,
+                id="deltaX2",
+        ),
     ],
 )
-def test_closure_counts_truncated_images(spec, seed, dimension, truncated, contains_one):
-    # Counts from computing every image and testing its degree afterwards;
-    # predicting the degree first must count the same nonzero images.
+def test_closure_dimension_by_degree(spec, seed, dimension, dimension_by_degree, contains_one):
+    # The spans are P≤5, (X^2 + 1) * P≤3 and the polynomials of P≤5
+    # without constant term.
     probe = submodule_closure_probe(spec, seed, 2, 5)
-    assert (probe.dimension, probe.truncated, probe.contains_one) == (
-        dimension, truncated, contains_one
+    assert (probe.dimension, probe.dimension_by_degree, probe.contains_one) == (
+        dimension, dimension_by_degree, contains_one
     )
 
 
@@ -407,6 +471,27 @@ def test_closure_from_ten_random_seeds_constant_sigma():
         assert probe.contains_one
 
 
+def test_closure_spans_all_of_p10_for_constant_sigma():
+    probe = submodule_closure_probe(sigma_zero(eta=sc(1, 3)), X * Y + P_ONE, 4, 10)
+    assert probe.dimension == 66
+    assert probe.dimension_by_degree == [(k + 1) * (k + 2) // 2 for k in range(11)]
+
+
+def test_closure_spans_x_times_p9_for_sigma_x():
+    # X * P≤9 meets P≤k in X * P≤(k-1), of dimension k (k + 1) / 2.
+    probe = submodule_closure_probe(sigma_zero(eta=sc(1, 3), sigma=X), X * (Y * Y + X), 4, 10)
+    assert probe.dimension == 55
+    assert probe.dimension_by_degree == [k * (k + 1) // 2 for k in range(11)]
+    assert all(a >= 1 for p in probe.basis for a, _ in Poly.from_json(p).terms)
+
+
+def test_closure_of_a_seed_above_the_cap_is_its_span():
+    probe = submodule_closure_probe(sigma_zero(), X * X * X * Y + Y, 2, 3)
+    assert (probe.dimension, probe.dimension_by_degree, probe.contains_one) == (
+        1, [0, 0, 0, 0], False
+    )
+
+
 def test_closure_rejects_zero_seed():
     with pytest.raises(ValueError):
         submodule_closure_probe(sigma_zero(), P_ZERO, 2, 4)
@@ -417,17 +502,19 @@ def test_closure_report_shape():
     assert {f.name for f in dataclasses.fields(probe)} == {
         "dimension",
         "contains_one",
-        "truncated",
+        "dimension_by_degree",
         "index_bound",
         "degree_cap",
         "basis",
     }
     assert probe.dimension == len(probe.basis)
+    assert probe.dimension_by_degree == [1, 3, 6, 10, 15]
 
 
 def test_closure_basis_is_the_reduced_echelon_basis():
     # The basis depends only on the span: re-inserting its rows in reverse
-    # order reproduces it, and it is in reduced echelon form.
+    # order reproduces it, and it is in reduced echelon form with each
+    # row's pivot at one of its top-degree monomials.
     probe = submodule_closure_probe(sigma_zero(sigma=X), X * (Y * Y + X), 2, 5)
     monomials, column_of = _monomial_table(5)
     rows = [
@@ -447,50 +534,7 @@ def test_closure_basis_is_the_reduced_echelon_basis():
     for lead, row in zip(leads, rows):
         assert row[lead] == ONE
         assert not any(other in row for other in leads if other != lead)
-
-
-def reference_closure(spec, seed, index_bound, degree_cap):
-    """The closure probe without its shortcuts: every generator acts on
-    every queued vector, and an image's degree is tested after it is
-    computed.  Only the saturation stop is kept, since it decides which
-    images are counted as truncated."""
-    generators = [
-        Generator(family, idx)
-        for family in "JIHL"
-        for idx in range(-index_bound, index_bound + 1)
-    ]
-    monomials, column_of = _monomial_table(max(degree_cap, seed.total_degree()))
-
-    def to_row(p):
-        return {column_of[mono]: coeff for mono, coeff in p.terms.items()}
-
-    action = CachedAction(spec)
-    basis = SparseEchelon()
-    basis.insert(to_row(seed))
-    queue, truncated = [seed], 0
-    full = (degree_cap + 1) * (degree_cap + 2) // 2
-    saturated = full if seed.total_degree() <= degree_cap else None
-    while queue and (saturated is None or basis.dimension < saturated):
-        current = queue.pop(0)
-        for g in generators:
-            image = action.act(g, current)
-            if not image:
-                continue
-            if image.total_degree() > degree_cap:
-                truncated += 1
-            elif basis.insert(to_row(image)):
-                queue.append(image)
-    return ClosureReport(
-        dimension=basis.dimension,
-        contains_one=basis.contains(to_row(P_ONE)),
-        truncated=truncated,
-        index_bound=index_bound,
-        degree_cap=degree_cap,
-        basis=[
-            Poly({monomials[col]: coeff for col, coeff in row.items()}).to_json()
-            for row in basis.rows_sorted()
-        ],
-    )
+        assert sum(monomials[lead]) == max(sum(monomials[col]) for col in row)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -509,11 +553,25 @@ def test_closure_matches_the_reference_that_acts_everywhere(data):
     )
 
 
+@pytest.mark.parametrize("s", [0, 4])
+@pytest.mark.parametrize("index_bound, degree_cap", [(2, 5), (4, 10)])
+def test_closure_report_does_not_depend_on_visiting_order(s, index_bound, degree_cap):
+    # Under the old breadth-first probe these seeds gave different reports
+    # for the family orders J,I,H,L and L,H,I,J.
+    spec = sigma_zero(eta=sc(3))
+    seed = random_poly(random.Random(s), 3)
+    probe = submodule_closure_probe(spec, seed, index_bound, degree_cap)
+    assert probe == reference_closure(spec, seed, index_bound, degree_cap)
+    assert probe == reference_closure(
+        spec, seed, index_bound, degree_cap, families="LHIJ", descending=True
+    )
+    assert probe == reference_closure(spec, seed.scale(sc(-2, 3)), index_bound, degree_cap)
+    assert probe == submodule_closure_probe(spec, seed.scale(sc(5, 7)), index_bound, degree_cap)
+
+
 def test_closure_acts_only_where_the_index_polynomial_needs_it():
     # lam^-m g_m v is a polynomial in m, so after deg_Y v + 1 images per
     # family (deg_Y v + 2 for L) the rest lie in the span and are skipped.
-    # Without the skip the probe would make about two thirds of the
-    # reference's calls here, saving only the truncated images.
     calls = {"n": 0}
     act = CachedAction.act
 
