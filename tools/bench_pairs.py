@@ -13,8 +13,9 @@ tar into a fresh directory and runs
 
 there with PYTHONDONTWRITEBYTECODE=1 and T the ``run_seconds`` of
 BENCHMARK.json, one process at a time, so both sides run the benchmark
-code of their own commit.  Pair j of a workload uses one seed for both sides, and the parent runs first in even-numbered pairs,
-counting from 0.  Workload i (in ``--workloads`` order) takes the seeds
+code of their own commit.  Pair j of a workload uses one seed for both
+sides, and the parent runs first in even-numbered pairs, counting from 0.
+Workload i (in ``--workloads`` order) takes the seeds
 S + i * pairs .. S + (i + 1) * pairs - 1.  After the timed pairs, one
 traced pair per workload (``--seconds 0.1 --trace 1``, parent first) runs
 at seed S + (number of workloads) * pairs + 10: at that length each run
