@@ -371,6 +371,10 @@ def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", desc
     echelon basis, keeps the images whose degree, tested after acting, is
     within the cap, and inserts them; passes repeat until one inserts
     nothing.  ``families`` and ``descending`` set the visiting order.
+    The columns are written out here rather than taken from the probe: they
+    run by descending total degree, so each row's pivot is a top-degree
+    monomial and the rows of degree at most k span W ∩ P≤k; ties go by
+    ascending X-degree, so the basis is the probe's reduced echelon basis.
     dim(W ∩ P≤k) is read off independently of the column order, as dim W
     minus the rank of W's components of degree above k.
     """
@@ -380,7 +384,11 @@ def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", desc
         for family in families
         for idx in (reversed(indices) if descending else indices)
     ]
-    monomials, column_of = _monomial_table(max(degree_cap, seed.total_degree()))
+    top = max(degree_cap, seed.total_degree())
+    monomials = [
+        (a, total - a) for total in range(top, -1, -1) for a in range(total + 1)
+    ]
+    column_of = {mono: col for col, mono in enumerate(monomials)}
 
     def to_row(p):
         return {column_of[mono]: coeff for mono, coeff in p.terms.items()}

@@ -3,8 +3,7 @@
 Run from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent REV --change REV --first-seed S \
-        --out BENCH_name.json [--pairs 10] \
-        [--workloads sweep,search,closure] [--note TEXT]
+        --out BENCH_name.json [--note TEXT]
 
 Each side is ``git archive``d once into a tar; every run extracts its side's
 tar into a fresh directory and runs
@@ -13,13 +12,14 @@ tar into a fresh directory and runs
 
 there with PYTHONDONTWRITEBYTECODE=1 and T the ``run_seconds`` of
 BENCHMARK.json, one process at a time, so both sides run the benchmark
-code of their own commit.  Pair j of a workload uses one seed for both
-sides, and the parent runs first in even-numbered pairs, counting from 0.
-Workload i (in ``--workloads`` order) takes the seeds
-S + i * pairs .. S + (i + 1) * pairs - 1.  After the timed pairs, one
-traced pair per workload (``--seconds 0.1 --trace 1``, parent first) runs
-at seed S + (number of workloads) * pairs + 10: at that length each run
-completes exactly one traced round, so both sides count the same inputs.
+code of their own commit.  Every workload of BENCHMARK.json runs
+``PAIRS`` pairs, in the file's order.  Pair j of a workload uses one seed
+for both sides, and the parent runs first in even-numbered pairs, counting
+from 0.  Workload i takes the seeds S + i * PAIRS .. S + (i + 1) * PAIRS - 1.
+After the timed pairs, one traced pair per workload (``--seconds 0.1
+--trace 1``, parent first) runs at seed S + (number of workloads) * PAIRS
++ 10: at that length each run completes exactly one traced round, so both
+sides count the same inputs.
 
 For each end-to-end metric that BENCHMARK.json names, the file records every
 run, each side's median and quartiles (``statistics.quantiles(n=4,
@@ -45,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def archive(rev: str, tar: Path) -> Path:
@@ -105,14 +106,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default="sweep,search,closure")
     parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
-    workloads = args.workloads.split(",")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     revs = {"parent": args.parent, "change": args.change}
     commits = {
@@ -127,7 +124,7 @@ def main(argv=None) -> int:
         tars = {side: archive(rev, scratch / f"{side}.tar") for side, rev in revs.items()}
         host = None
         for i, workload in enumerate(workloads):
-            seeds = [args.first_seed + i * args.pairs + j for j in range(args.pairs)]
+            seeds = [args.first_seed + i * PAIRS + j for j in range(PAIRS)]
             values = {m["name"]: {side: [] for side in SIDES} for m in metrics}
             kernel = {side: [] for side in SIDES}
             failed = dict.fromkeys(SIDES, 0)
@@ -145,7 +142,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {j} seed {seed} {side}: wall_s "
                           f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
             out["workloads"][workload] = {
-                "pairs": args.pairs,
+                "pairs": PAIRS,
                 "seeds": seeds,
                 "failed_items": failed,
                 "metrics": {
@@ -154,7 +151,7 @@ def main(argv=None) -> int:
                 },
                 "kernel_s": kernel,
             }
-        traced_seed = args.first_seed + len(workloads) * args.pairs + 10
+        traced_seed = args.first_seed + len(workloads) * PAIRS + 10
         for workload in workloads:
             pair = {"workload": workload, "seed": traced_seed, "first": "parent"}
             for side in SIDES:
@@ -183,7 +180,7 @@ def main(argv=None) -> int:
         for name, metric in record["metrics"].items():
             print(f"{workload:8} {name:12} {metric['parent']['median']:.6g} -> "
                   f"{metric['change']['median']:.6g} ({metric['change_vs_parent']:+.2%}), "
-                  f"change better in {metric['change_better_pairs']}/{args.pairs}")
+                  f"change better in {metric['change_better_pairs']}/{PAIRS}")
     return 0
 
 
