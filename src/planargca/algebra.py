@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -58,22 +58,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Generator:
-    """One basis generator: an indexed family member or a central element."""
+    """One basis generator: an indexed family member or a central element.
+
+    Generators are interned: ``Generator(family, index)`` returns the one
+    object stored for that pair, so equality is identity and the hash is
+    the object's default one.  ``key`` is the canonical sort key (see
+    ``gen_key``), computed once.  Attributes cannot be assigned.
+    """
+
+    __slots__ = ("family", "index", "key")
 
     family: str
-    index: Optional[int] = None
+    index: Optional[int]
+    key: Tuple[int, int]
 
-    def __post_init__(self) -> None:
-        if self.family in ("L", "H", "I", "J"):
-            if self.index is None:
-                raise ValueError(f"{self.family} generators need an index")
-        elif self.family in ("c1", "c2", "c3"):
-            if self.index is not None:
+    def __new__(cls, family: str, index: Optional[int] = None) -> "Generator":
+        if family in ("L", "H", "I", "J"):
+            if index is None:
+                raise ValueError(f"{family} generators need an index")
+            if type(index) is not int:
+                raise ValueError(
+                    f"{family} generators need an int index, not {index!r}"
+                )
+        elif family in ("c1", "c2", "c3"):
+            if index is not None:
                 raise ValueError("central generators carry no index")
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
+        found = _INTERNED.get((family, index))
+        if found is not None:
+            return found
+        g = object.__new__(cls)
+        object.__setattr__(g, "family", family)
+        object.__setattr__(g, "index", index)
+        object.__setattr__(g, "key", (_FAMILY_RANK[family], index or 0))
+        # setdefault, so a second construction racing this one still
+        # returns the stored object.
+        return _INTERNED.setdefault((family, index), g)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Generator, (self.family, self.index))
 
     @property
     def is_central(self) -> bool:
@@ -84,6 +115,11 @@ class Generator:
 
     def __repr__(self) -> str:
         return gen_str(self)
+
+
+_FAMILY_RANK = {"J": 0, "I": 1, "H": 2, "L": 3, "c1": 4, "c2": 5, "c3": 6}
+# Every generator built so far, under its (family, index).
+_INTERNED: Dict[Tuple[str, Optional[int]], Generator] = {}
 
 
 def L(n: int) -> Generator:
@@ -107,12 +143,10 @@ C2 = Generator("c2")
 C3 = Generator("c3")
 CENTRALS = (C1, C2, C3)
 
-_FAMILY_RANK = {"J": 0, "I": 1, "H": 2, "L": 3, "c1": 4, "c2": 5, "c3": 6}
-
 
 def gen_key(g: Generator) -> Tuple[int, int]:
     """Canonical sort key: family rank, then index ascending."""
-    return (_FAMILY_RANK[g.family], g.index or 0)
+    return g.key
 
 
 def gen_str(g: Generator) -> str:

@@ -8,6 +8,15 @@ which is abelian, these monomials coincide with the usual displayed words
 J^j I^i; central generators commute past everything and sort last, kept as
 exponents here (they only become scalars inside modules).
 
+The public constructor ``PBWMonomial(factors)`` checks that the factors
+strictly ascend in that order with positive exponents, because its factors
+come from callers and configs.  The action builds its own monomials with
+``PBWMonomial._ordered``, which skips the check: they are canonical by how
+they are built.  ``_prepend`` puts in front a generator that sorts at or
+before the first factor, merging it into that factor when equal, and
+``_expand``'s ``rest`` lowers the first factor's power by one, dropping it
+at zero.
+
 The engine is the left action of a generator on the PBW basis of an
 induced module U(G) (x)_{U(b)} C_psi, whose basis is the monomials in the
 generators outside b ("free").  Writing a basis monomial as ``x u``, a
@@ -72,6 +81,15 @@ class PBWMonomial:
             previous = key
         self.factors: Factors = factors
         self._hash = hash(factors)
+
+    @staticmethod
+    def _ordered(factors: Factors) -> "PBWMonomial":
+        """A monomial of ``factors`` known to be canonical, unchecked (see
+        the module docstring)."""
+        mono = object.__new__(PBWMonomial)
+        mono.factors = factors
+        mono._hash = hash(factors)
+        return mono
 
     @staticmethod
     def from_word(word: Sequence[Generator]) -> "PBWMonomial":
@@ -158,8 +176,8 @@ def _prepend(g: Generator, mono: PBWMonomial) -> PBWMonomial:
     """``g * mono`` for a generator sorting at or before the first factor."""
     factors = mono.factors
     if factors and factors[0][0] == g:
-        return PBWMonomial(((g, factors[0][1] + 1),) + factors[1:])
-    return PBWMonomial(((g, 1),) + factors)
+        return PBWMonomial._ordered(((g, factors[0][1] + 1),) + factors[1:])
+    return PBWMonomial._ordered(((g, 1),) + factors)
 
 
 class _LeftAction:
@@ -226,7 +244,7 @@ class _LeftAction:
             if g.is_central or not factors:
                 value = datum.psi(g)
                 return ((mono, value),) if value else ()
-        elif not factors or gen_key(g) <= gen_key(factors[0][0]):
+        elif not factors or g.key <= factors[0][0].key:
             return ((_prepend(g, mono), ONE),)
         return None
 
@@ -236,7 +254,7 @@ class _LeftAction:
         """``g . x u = x . (g . u) + [g, x] . u`` for a non-leaf image."""
         factors = mono.factors
         x, exp = factors[0]
-        rest = PBWMonomial(
+        rest = PBWMonomial._ordered(
             ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
         )
         out: Terms = {}

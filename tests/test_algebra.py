@@ -1,8 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planargca.algebra import (
     C1,
@@ -18,6 +23,7 @@ from planargca.algebra import (
     L,
     bracket,
     bracket_basis,
+    gen_key,
     gen_str,
     grade,
     parse_gen,
@@ -197,7 +203,59 @@ def test_element_json_refuses_two_spellings_of_one_generator(data, name):
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^L generators need an index$"):
         Generator("L")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^central generators carry no index$"):
         Generator("c1", 3)
+    with pytest.raises(ValueError, match="^central generators carry no index$"):
+        Generator("c2", True)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.5, 1.0, "1"])
+def test_generator_refuses_an_index_that_is_no_int(index):
+    # True == 1, so an interned L[True] would alias L[1]; "1" printed as
+    # L[1] without being equal to it.
+    with pytest.raises(ValueError, match="need an int index"):
+        Generator("L", index)
+    assert str(L(1)) == "L[1]"
+    assert str(L(0)) == "L[0]"
+
+
+_generator_args = st.one_of(
+    st.tuples(st.sampled_from("LHIJ"), st.integers(-40, 40)),
+    st.tuples(st.sampled_from(["c1", "c2", "c3"]), st.none()),
+)
+_OLD_RANK = {"J": 0, "I": 1, "H": 2, "L": 3, "c1": 4, "c2": 5, "c3": 6}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_generator_args, max_size=12))
+def test_generators_are_interned_values(args):
+    gens = []
+    for family, index in args:
+        g = Generator(family, index)
+        assert Generator(family, index) is g
+        assert (g.family, g.index) == (family, index)
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+        with pytest.raises(FrozenInstanceError):
+            g.index = 0
+        with pytest.raises(FrozenInstanceError):
+            g.key = (0, 0)
+        assert g.index == index
+        gens.append(g)
+    # The canonical order is the one the dataclass keys gave.
+    old_key = lambda g: (_OLD_RANK[g.family], g.index or 0)  # noqa: E731
+    assert sorted(gens, key=gen_key) == sorted(gens, key=old_key)
+    assert [gen_key(g) for g in gens] == [old_key(g) for g in gens]
+
+
+def test_generator_equality_and_hash_are_the_object_defaults():
+    # Interning makes equal arguments one object, so nothing is computed
+    # per comparison or per hash.
+    assert Generator.__eq__ is object.__eq__
+    assert Generator.__hash__ is object.__hash__
+    assert L(2) == Generator("L", 2) and L(2) != H(2)
+    assert C1.is_central and not L(0).is_central
+    assert repr(J(-3)) == "J[-3]" and str(C3) == "c3"

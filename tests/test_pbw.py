@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planargca import pbw, whittaker
 from planargca.algebra import C3, CENTRALS, Generator, H, I, J, L, bracket_basis, gen_key
 from planargca.pbw import (
     MONOMIAL_ONE,
@@ -209,3 +211,65 @@ def test_monomial_string_round_trip():
     assert PBWMonomial.parse(str(m)) == m
     assert str(MONOMIAL_ONE) == "1"
     assert PBWMonomial.parse("1") == MONOMIAL_ONE
+
+
+class RecordedAction(pbw._LeftAction):
+    """The left action, remembering every instance so a test can read its
+    memo after the call that made it returns."""
+
+    __slots__ = ()
+    made = []
+
+    def __init__(self, datum):
+        super().__init__(datum)
+        RecordedAction.made.append(self)
+
+
+def assert_memo_is_canonical(action):
+    """Every memo key and image monomial passes the public, checking
+    constructor: the unchecked ones the action builds are canonical."""
+    for table in action.memo.values():
+        for key, image in table.items():
+            assert PBWMonomial(key.factors) == key
+            for term, _ in image:
+                assert PBWMonomial(term.factors) == term
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(words())
+def test_straighten_builds_canonical_monomials(word):
+    RecordedAction.made.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pbw, "_LeftAction", RecordedAction)
+        results = [straighten(word, s) for s in ("leftmost", "rightmost")]
+    assert len(RecordedAction.made) == 2
+    for action in RecordedAction.made:
+        assert_memo_is_canonical(action)
+    for result in results:
+        for term in result.terms:
+            assert PBWMonomial(term.factors) == term
+
+
+_REAL_VALUES = [sc(0), sc(1), sc(-2), sc(Fraction(1, 3))]
+_COMPLEX_VALUES = _REAL_VALUES + [sc(2, 1), sc(0, -1), sc(3, Fraction(-1, 2))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_search_builds_canonical_monomials(data):
+    # Real or complex values; the top pair vanishes in some draws, so some
+    # searches find a witness and re-verify it with a second action.
+    m, n = data.draw(st.sampled_from([(1, 1), (2, 2), (3, 1)]))
+    value = st.sampled_from(data.draw(st.sampled_from([_REAL_VALUES, _COMPLEX_VALUES])))
+    values = {
+        str(g): data.draw(value)
+        for g in whittaker.WhittakerDatum(m, n, {}).support() + list(CENTRALS)
+    }
+    datum = whittaker.validate_whittaker(values, m, n)
+    RecordedAction.made.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(whittaker, "_LeftAction", RecordedAction)
+        whittaker.singular_vector_search(datum, data.draw(st.integers(1, 4)))
+    assert RecordedAction.made
+    for action in RecordedAction.made:
+        assert_memo_is_canonical(action)

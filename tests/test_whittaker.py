@@ -1071,6 +1071,26 @@ def test_search_elimination_work_guard(monkeypatch):
     assert calls[0] < 20_000
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+def test_search_checks_only_its_columns(monkeypatch, m, n):
+    # A count of factor-order checks, independent of machine speed.  Only
+    # the basis columns go through the checking constructor; the action's
+    # own monomials are canonical by construction.  Checking those as well
+    # made 3191, 5112 and 7063 checked constructions here.
+    calls = [0]
+    init = PBWMonomial.__init__
+
+    def counted(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PBWMonomial, "__init__", counted)
+    top = m + n - 1
+    datum = validate_whittaker({f"I[{top}]": "1", f"J[{top}]": "1"}, m, n)
+    report = singular_vector_search(datum, 5)
+    assert calls[0] == report.basis_size == 415
+
+
 def reference_search_echelon(datum, weight_bound):
     """The search's columns and reduced system, with rows inserted in the
     earlier order: sorted by (operator name, output monomial)."""
