@@ -2,10 +2,12 @@
 
 All elimination but the determinant's runs through one kernel,
 ``SparseEchelon``: an incrementally maintained reduced row echelon form
-over sparse rows with integer-indexed columns.  It backs the orbit-closure
-probes and the singular-vector search, where rows arrive one at a time and
-most reduce to zero.  Because stored rows stay fully reduced against each
-other, reducing a new row is a single pass over its own pivot columns.
+over sparse rows whose columns are mutually comparable keys (integers in
+the search and the dense solvers, monomial keys in the closure probes).
+It backs the orbit-closure probes and the singular-vector search, where
+rows arrive one at a time and most reduce to zero.  Because stored rows
+stay fully reduced against each other, reducing a new row is a single
+pass over its own pivot columns.
 A stored row's smallest column is its pivot, so a new pivot can occur
 only in stored rows whose pivot lies below it: back-substitution visits
 that prefix of the sorted pivot columns and no other row.
@@ -201,12 +203,17 @@ def _subtract(target: Dict[int, Scalar], factor: Scalar, row: Dict[int, Scalar])
 class SparseEchelon:
     """Incrementally maintained reduced row echelon form over sparse rows.
 
-    Rows are dicts mapping integer column indices to nonzero scalars.
-    ``pivots`` maps each pivot column to its stored row.  The invariant:
-    every stored row has a 1 at its pivot, which is its smallest column,
-    and a 0 at every other pivot.  The stored rows are therefore the
-    reduced echelon basis of the span, which depends only on the span and
-    not on the order in which rows were inserted.
+    Rows are dicts mapping columns to nonzero scalars.  A column is any
+    hashable key, and all the columns of one echelon must be mutually
+    comparable: "smallest" below is their natural order (integers, or
+    tuples such as the closure probe's monomial keys).  Only
+    ``kernel_vector_at_first_free_column`` needs the integer columns
+    0..ncols-1.  ``pivots`` maps each pivot column to its stored row.
+
+    The invariant: every stored row has a 1 at its pivot, which is its
+    smallest column, and a 0 at every other pivot.  The stored rows are
+    therefore the reduced echelon basis of the span, which depends only on
+    the span and not on the order in which rows were inserted.
     """
 
     def __init__(self) -> None:

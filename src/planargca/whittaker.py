@@ -63,7 +63,7 @@ from .algebra import (
     gen_str,
     parse_gen,
 )
-from .linalg import Matrix, SparseEchelon, matrix_solve
+from .linalg import Matrix, SparseEchelon, matrix_nullspace, matrix_solve
 from .pbw import MONOMIAL_ONE, PBWMonomial, _LeftAction, display_order
 from .scalars import (
     ONE,
@@ -819,8 +819,6 @@ def example_psi14_witness(alpha: Scalar, beta: Scalar) -> Psi14Result:
     """
     if not alpha or not beta:
         raise PreconditionViolated("alpha and beta must both be nonzero")
-    from .linalg import matrix_nullspace
-
     datum = validate_whittaker({I(4): alpha, J(4): beta}, 1, 4)
     matrix = psi14_matrix(alpha, beta)
     kernel = matrix_nullspace(matrix)

@@ -1009,3 +1009,115 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     path.write_bytes(b'{"index_bound": 2, "note": "\xff"}')
     assert main(["verify-algebra", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: 'utf-8' codec")
+
+
+# The error paths below are the CLI's own refusals; each exits 2 with a
+# "config error" line naming where the config went wrong.
+
+_SIGMA_ONE = [{"xexp": 0, "yexp": 0, "coeff": "1"}]
+_OMEGA = {"variant": "sigma_zero", "lambda": "2", "eta": "0", "sigma": _SIGMA_ONE}
+_DELTA = {"variant": "delta_only", "lambda": "2", "delta": _SIGMA_ONE}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (_OMEGA | {"lambda": "0"}, "config.spec: lam must be nonzero"),
+        (
+            _DELTA | {"sigma": _SIGMA_ONE},
+            "config.spec: delta_only takes delta and nothing else",
+        ),
+        (
+            _OMEGA | {"lambda": "1/0"},
+            "config.spec.lambda: zero denominator in scalar '1/0'",
+        ),
+        (_OMEGA | {"eta": "1//2"}, "config.spec.eta: malformed scalar '1//2'"),
+    ],
+)
+def test_invalid_omega_spec_exits_two(tmp_path, capsys, spec, message):
+    config = {"spec": spec, "index_bound": 1, "basis_cap": 1}
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2 and report is None
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "restricted, message",
+    [
+        ({"m": 1, "n": 1}, "config.restricted must be an object with a 'kind'"),
+        ([], "config.restricted must be an object with a 'kind'"),
+        (
+            {"kind": "verma"},
+            "config.restricted: unknown restricted-module kind 'verma'",
+        ),
+        ({"kind": 1}, "config.restricted: unknown restricted-module kind 1"),
+        (
+            {"kind": "virasoro_style", "inner": {"kind": None}},
+            "config.restricted.inner: unknown restricted-module kind None",
+        ),
+    ],
+)
+def test_restricted_module_without_known_kind_exits_two(
+    tmp_path, capsys, restricted, message
+):
+    config = {
+        "spec": _OMEGA,
+        "restricted": restricted,
+        "seed_pairs": [{"poly": _SIGMA_ONE, "vector": "1"}],
+        "monomial_bound": 1,
+    }
+    code, _, _ = run(tmp_path, "tensor-probe", config)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_multiply_by_sigma_on_delta_only_exits_two(tmp_path, capsys):
+    config = {
+        "spec": _DELTA,
+        "index_bound": 1,
+        "basis_cap": 1,
+        "closure": {
+            "index_bound": 1,
+            "degree_cap": 2,
+            "random_seeds": {"count": 1, "max_degree": 1, "multiply_by_sigma": True},
+        },
+    }
+    code, _, _ = run(tmp_path, "verify-omega", config)
+    assert code == 2
+    assert (
+        "config.closure.random_seeds.multiply_by_sigma needs sigma"
+        in capsys.readouterr().err
+    )
+
+
+def test_twist_with_m_below_n_exits_two(tmp_path, capsys):
+    config = {"m": 1, "n": 2, "values": {"I[2]": "1", "J[2]": "1"}}
+    code, _, _ = run(tmp_path, "twist", config)
+    assert code == 2
+    assert (
+        "config error: twist preconditions: twist normalization requires m >= n"
+        in capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("config", [[], "{}", None, 1])
+def test_run_command_rejects_a_config_that_is_no_object(config):
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        run_command("verify-algebra", config)
+
+
+def test_verbose_output_adds_one_detail_line_per_check(tmp_path, capsys):
+    config_path = write_config(tmp_path, {"index_bound": 1})
+    json_path = tmp_path / "report.json"
+    code = main(
+        ["verify-algebra", "--config", config_path, "--json", str(json_path), "--verbose"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads(json_path.read_text())
+    assert code == 0
+    assert lines[-1] == "OK"
+    assert len(lines) == 2 * len(report["checks"]) + 1
+    for check, status, detail in zip(report["checks"], lines[0:-1:2], lines[1:-1:2]):
+        assert status == f"PASS {check['id']}"
+        details = {k: v for k, v in check.items() if k not in ("id", "ok")}
+        assert json.loads(detail) == details

@@ -223,6 +223,31 @@ def test_sparse_echelon_is_canonical_reduced_form(data):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
+def test_sparse_echelon_columns_may_be_any_ordered_keys(data):
+    # The same rows keyed by 0..ncols-1 and by an order-preserving map onto
+    # tuples (as the closure probe's monomial keys are) give corresponding
+    # insert results, stored rows, pivots and membership.
+    ncols = data.draw(st.integers(1, 8))
+    rows = _draw_rows(data, data.draw(st.integers(1, 7)), ncols)
+    pairs = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    keys = sorted(data.draw(st.sets(pairs, min_size=ncols, max_size=ncols)))
+    by_int, by_key = SparseEchelon(), SparseEchelon()
+    for row in data.draw(st.permutations(rows)):
+        keyed = {keys[col]: entry for col, entry in enumerate(row)}
+        assert by_key.insert(keyed) == by_int.insert(dict(enumerate(row)))
+        assert [keys[col] for col in by_int.pivots] == list(by_key.pivots)
+    assert by_key._order == sorted(by_key.pivots)
+    assert [
+        {keys[col]: entry for col, entry in row.items()} for row in by_int.rows_sorted()
+    ] == by_key.rows_sorted()
+    for probe in _draw_rows(data, 3, ncols):
+        assert by_key.contains(
+            {keys[col]: entry for col, entry in enumerate(probe)}
+        ) == by_int.contains(dict(enumerate(probe)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
 def test_dense_solvers_match_reference(data):
     n = data.draw(st.integers(1, 4))
     ncols = data.draw(st.integers(1, 5))

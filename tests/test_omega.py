@@ -25,7 +25,6 @@ from planargca.omega import (
     ClosureReport,
     InvalidSpec,
     OmegaSpec,
-    _monomial_table,
     degree_raise,
     omega_act,
     submodule_closure_probe,
@@ -524,17 +523,18 @@ def test_closure_basis_is_the_reduced_echelon_basis():
     # The basis depends only on the span: re-inserting its rows in reverse
     # order reproduces it, and it is in reduced echelon form with each
     # row's pivot at one of its top-degree monomials.
+    # Columns are the probe's: X^a Y^b is (-(a+b), a), by descending total
+    # degree, then ascending X-degree.
     probe = submodule_closure_probe(sigma_zero(sigma=X), X * (Y * Y + X), 2, 5)
-    monomials, column_of = _monomial_table(5)
     rows = [
-        {column_of[mono]: coeff for mono, coeff in Poly.from_json(poly).terms.items()}
+        {(-a - b, a): coeff for (a, b), coeff in Poly.from_json(poly).terms.items()}
         for poly in probe.basis
     ]
     echelon = SparseEchelon()
     for row in reversed(rows):
         echelon.insert(row)
     again = [
-        Poly({monomials[col]: coeff for col, coeff in row.items()}).to_json()
+        Poly({(a, -d - a): coeff for (d, a), coeff in row.items()}).to_json()
         for row in echelon.rows_sorted()
     ]
     assert again == probe.basis
@@ -543,7 +543,7 @@ def test_closure_basis_is_the_reduced_echelon_basis():
     for lead, row in zip(leads, rows):
         assert row[lead] == ONE
         assert not any(other in row for other in leads if other != lead)
-        assert sum(monomials[lead]) == max(sum(monomials[col]) for col in row)
+        assert -lead[0] == max(-col[0] for col in row)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
