@@ -274,8 +274,10 @@ def _run_verify_algebra(config: dict, rng: random.Random) -> List[dict]:
 
 
 _CLOSURE = _section(
-    {"index_bound": _positive_int, "degree_cap": _positive_int},
+    {"degree_cap": _positive_int},
     {
+        # Accepted and checked for older configs; the probe is index-free.
+        "index_bound": _positive_int,
         "seeds": _list_of(_nonzero(_poly)),
         "random_seeds": _section(
             {"count": _positive_int, "max_degree": _positive_int},
@@ -320,9 +322,7 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
     ]
     expect = closure.get("expect_contains_one")
     for i, seed_poly in enumerate(seeds):
-        probe = submodule_closure_probe(
-            spec, seed_poly, closure["index_bound"], closure["degree_cap"]
-        )
+        probe = submodule_closure_probe(spec, seed_poly, closure["degree_cap"])
         checks.append(
             {
                 "id": f"closure-seed-{i}",

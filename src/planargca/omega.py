@@ -31,21 +31,23 @@ directly and compares numerators, so it builds no ``Poly`` or ``Scalar``
 inside its loop.
 
 ``submodule_closure_probe`` computes a least fixed point: the smallest
-subspace W that contains the seed and holds g_m w for every generator with
-|m| up to the index bound and every w in W whose image stays within the
-degree cap.  W does not depend on the order of visits.  The probe spins
-the seed MeatAxe style until no queued remainder is left, with no column
-table and no early stop: X^a Y^b is the echelon column (-(a+b), a), whose
-natural order is descending total degree, then ascending X-degree, so each
-stored remainder's pivot is its top monomial and the remainders of degree
-at most k span W ∩ P≤k.  It is a bounded semi-decision: 1 in W
-certifies (exactly, within the given bounds) that the seed generates a
-dense orbit; 1 outside W is only evidence of a proper submodule, never a
-proof, since the module is infinite dimensional.  The report gives dim W,
-dim W ∩ P≤k for every k up to the cap, and the reduced echelon basis of
-W.  Per queued remainder v it acts with each family at no more than
-deg_Y v + 1 indices (deg_Y v + 2 for L): lam^(-m) g_m v is a polynomial
-in m, so the other images lie in W.
+subspace W that contains the seed and holds g_m w for every generator, every
+index m in Z and every w in W whose image stays within the degree cap.  W
+does not depend on the order of visits.  No index bound enters: lam^(-m)
+g_m w is a polynomial in m, and by Taylor's formula in Y its coefficients
+are H_0, sigma_0 or L_0 applied to D_j w = ∂_Y^j w / j!, less delta
+D_(j-1) w for L.  W holds every g_m w exactly when it holds those
+coefficients, so the probe acts with them alone.  It spins the seed
+MeatAxe style until no queued remainder is left, with no column table and
+no early stop: X^a Y^b is the echelon column (-(a+b), a), whose natural
+order is descending total degree, then ascending X-degree, so each stored
+remainder's pivot is its top monomial and the remainders of degree at most
+k span W ∩ P≤k.  1 in W proves that the seed generates the whole module, at
+every index and every degree: W lies in U(g) seed, and H_0 and L_0 act as
+multiplication by X and by Y.  1 outside W is only evidence of a proper
+submodule, never a proof, since the module is infinite dimensional.  The
+report gives dim W, dim W ∩ P≤k for every k up to the cap, and the
+reduced echelon basis of W.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm
+from math import comb, lcm
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .algebra import Generator, bracket_basis, generators_up_to
@@ -385,25 +387,27 @@ class ClosureReport:
     dimension: int
     contains_one: bool
     dimension_by_degree: List[int]
-    index_bound: int
     degree_cap: int
     basis: List[list]
 
 
-def submodule_closure_probe(
-    spec: OmegaSpec, seed: Poly, index_bound: int, degree_cap: int
-) -> ClosureReport:
+def _taylor(v: Poly, j: int) -> Poly:
+    """D_j v = ∂_Y^j v / j!, the coefficient of t^j in v(X, Y+t)."""
+    return Poly({(a, b - j): c * comb(b, j) for (a, b), c in v.terms.items() if b >= j})
+
+
+def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> ClosureReport:
     """The least subspace W that contains the seed and satisfies
 
-        g_m(W ∩ P≤(cap - rise(g_m))) ⊆ W   for every g_m with |m| <= index_bound,
+        g_m(W ∩ P≤(cap - rise(g_m))) ⊆ W   for every generator g and every m in Z,
 
     where P≤k is the space of polynomials of total degree at most k and
-    rise is ``degree_raise``: every generator acts on every vector of W
-    whose image stays within the degree cap.  W is a least fixed point, so
-    it depends only on the spec, the span of the seed and the two bounds,
-    never on the order in which generators or vectors are visited.  The
-    seed is kept even when it lies above the cap; it then acts on nothing
-    and W is its span.
+    rise is ``degree_raise``: every g_m acts on every vector of W whose
+    image stays within the degree cap, at every index.  W is a least fixed
+    point, so it depends only on the spec, the span of the seed and the
+    cap, never on the order in which generators or vectors are visited.
+    The seed is kept even when it lies above the cap; it then acts on
+    nothing and W is its span.
 
     The report gives dim W, whether the constant polynomial 1 lies in W,
     ``dimension_by_degree`` (dim W ∩ P≤k for k = 0..cap) and ``basis``,
@@ -419,51 +423,52 @@ def submodule_closure_probe(
     combination of remainders the earliest one of the highest degree keeps
     its pivot's coefficient: the combination has that degree, and the
     remainders of degree at most k span W ∩ P≤k.  So W is closed exactly
-    when every generator has acted on every remainder whose degree its rise
+    when every g_m has acted on every remainder whose degree its rise
     allows, which is what the queue does.
     Copies are queued because back-substitution later changes the stored
-    rows in place.  The probe runs until the queue is empty: stopping once
-    W is all of P≤cap would save only about 0.5% of the
-    ``CachedAction.act`` calls on the benchmark's closure items.
+    rows in place.  The probe runs until the queue is empty.
 
-    Most allowed images are never computed, because they provably lie in
-    W already.  By ``action_factors``,
+    No index bound is needed, because each family acts through finitely
+    many operators.  By ``action_factors`` and Taylor's formula in Y,
+    with D_j = ∂_Y^j / j!,
 
-        lam^(-m) g_m v = M_g(m) * v(X+dx, Y-m),
+        lam^(-m) g_m v = M_g(m) * v(X+dx, Y-m)
+                       = M_g(m) * sum_j (-m)^j (D_j v)(X+dx, Y),
 
-    and v(X+dx, Y-m) is a polynomial in m of degree deg_Y v with
-    coefficients in C[X, Y].  The multiplier M_g(m) is X for H and sigma(X)
-    for the sigma family, both free of m, and Y + m delta(X) for L, linear
-    in m.  So lam^(-m) g_m v = p(m) with p of degree at most J in m, where
-    J = deg_Y v for H and for the sigma family and J = deg_Y v + 1 for L.
-    Lagrange interpolation on any J + 1 distinct indices m_0..m_J gives
+    where the multiplier M_g(m) is X for H, sigma(X) for the sigma family
+    and Y + m delta(X) for L.  This is a polynomial in m whose coefficient
+    of m^j is, up to the sign (-1)^j,
 
-        g_m v = lam^m * sum_k l_k(m) lam^(-m_k) g_(m_k) v
+        H:       H_0(D_j v)                    for j = 0..deg_Y v,
+        sigma:   sigma_0(D_j v)                for j = 0..deg_Y v,
+        L:       L_0(D_j v) - delta D_(j-1) v  for j = 0..deg_Y v + 1,
 
-    with the Lagrange basis polynomials l_k, for every index m.  Once a
-    family has produced J + 1 images of v (a family acting as zero
-    produces none), each of them was inserted or found to lie in the span,
-    and the span only grows, so every other image of v under that family,
-    inside the cap or not, is a combination of vectors of W and would
-    insert nothing.  The probe skips them; W is the same.
+    with D_(-1) v = D_(deg_Y v + 1) v = 0.  A polynomial in m takes its
+    values in W at every m in Z exactly when its coefficients lie in W:
+    with n coefficients, they are combinations of the values at any n
+    distinct indices (the Vandermonde matrix is invertible).  So the probe
+    inserts the coefficients, at most deg_Y v + 2 ``CachedAction.act``
+    calls per family for each queued remainder v.  The rise of g_m is the same for
+    every m != 0 and at least that of g_0, and the coefficients are
+    combinations of images g_m v, so they stay within the cap whenever
+    those do.  Only L can fit at m = 0 alone: L_0 v = Y v rises by 1 and
+    L_m v by deg delta when that is 2 or more.  Such a v gets L_0 v alone.
+
+    ``contains_one`` true proves that the seed generates the whole module,
+    at every index and every degree: W lies in U(g) seed, and H_0 and L_0
+    act as multiplication by X and by Y, so 1 in U(g) seed gives every
+    X^a Y^b.  False is only evidence of a proper submodule, never a proof,
+    since the module is infinite dimensional and W sees only P≤cap.
     """
     if not seed:
         raise ValueError("seed must be nonzero")
-    # Every generator that acts as nonzero, with its rise in total degree.
-    # The family order J, I, H, L does not change W, only the cost.  Against
-    # generators_up_to's L, H, I, J on 40 benchmark closure items (index 4,
-    # cap 10; Python 3.11, 2-vCPU Xeon), L, H, I, J made 2% fewer
-    # ``act`` calls (24,385 vs 24,874), but the remainders it queued were
-    # denser, so those calls took 2.6x the terms (113,009 vs 44,291) and
-    # the items about 1.8x the CPU time.  Why L first densifies them is
-    # not established; L's images are the densest.
-    generators = []
-    for fam in "JIHL":
-        for idx in range(-index_bound, index_bound + 1):
-            g = Generator(fam, idx)
-            rise = degree_raise(spec, g)
-            if rise is not None:
-                generators.append((g, rise))
+    # Each family that acts, by its index-0 generator, with the rise of g_m
+    # for every m != 0.
+    families = [
+        (Generator(fam, 0), degree_raise(spec, Generator(fam, 1)))
+        for fam in "JIHL"
+        if degree_raise(spec, Generator(fam, 0)) is not None
+    ]
 
     basis = SparseEchelon()
     action = CachedAction(spec)
@@ -480,16 +485,21 @@ def submodule_closure_probe(
 
     spin(seed)
     while queue:
-        current = queue.popleft()
-        degree = current.total_degree()
-        # Images each family may still compute before the rest lie in W:
-        # J + 1, with J = deg_Y + 1 for L and deg_Y otherwise.
-        left = dict.fromkeys("JIH", current.y_degree() + 1)
-        left["L"] = current.y_degree() + 2
-        for g, rise in generators:
-            if degree + rise <= degree_cap and left[g.family]:
-                left[g.family] -= 1
-                spin(action.act(g, current))
+        v = queue.popleft()
+        degree = v.total_degree()
+        taylor = [_taylor(v, j) for j in range(v.y_degree() + 1)]
+        for g, rise in families:
+            if degree + rise > degree_cap:
+                # Only L_0 can still fit (L with deg delta >= 2).
+                if degree + degree_raise(spec, g) <= degree_cap:
+                    spin(action.act(g, v))
+            elif g.family != "L":
+                for d_j in taylor:
+                    spin(action.act(g, d_j))
+            else:
+                # j = 0..deg_Y v + 1, pairing D_j v with D_(j-1) v.
+                for lower, d_j in zip([P_ZERO] + taylor, taylor + [P_ZERO]):
+                    spin(action.act(g, d_j) - spec.l_delta * lower)
 
     degrees = [-d for d, _ in basis.pivots]
     return ClosureReport(
@@ -498,7 +508,6 @@ def submodule_closure_probe(
         dimension_by_degree=[
             sum(d <= k for d in degrees) for k in range(degree_cap + 1)
         ],
-        index_bound=index_bound,
         degree_cap=degree_cap,
         basis=[to_poly(row).to_json() for row in basis.rows_sorted()],
     )

@@ -158,6 +158,22 @@ def test_verify_omega_with_closure(tmp_path):
     assert any(c["id"] == "closure-seed-0" for c in report["checks"])
 
 
+def test_closure_index_bound_is_optional_and_changes_no_report(tmp_path):
+    # The closure probe is index-free: closure.index_bound is still read
+    # and checked (0 is refused above), but no report depends on it.
+    config_path = Path(__file__).resolve().parent.parent / "configs" / (
+        "verify_omega_closure_sigma_x.json"
+    )
+    config = json.loads(config_path.read_text())
+    assert "index_bound" not in config["closure"]
+    _, _, without = run(tmp_path, "verify-omega", config, seed=3)
+    for index_bound in (1, 4):
+        config["closure"]["index_bound"] = index_bound
+        code, _, report = run(tmp_path, "verify-omega", config, seed=3)
+        assert code == 0
+        assert report == without
+
+
 def test_tensor_probe_command(tmp_path):
     config = {
         "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "0",
