@@ -9,13 +9,25 @@ J^j I^i; central generators commute past everything and sort last, kept as
 exponents here (they only become scalars inside modules).
 
 The public constructor ``PBWMonomial(factors)`` checks that the factors
-strictly ascend in that order with positive exponents, because its factors
-come from callers and configs.  The action builds its own monomials with
-``PBWMonomial._ordered``, which skips the check: they are canonical by how
-they are built.  ``_prepend`` puts in front a generator that sorts at or
-before the first factor, merging it into that factor when equal, and
-``_expand``'s ``rest`` lowers the first factor's power by one, dropping it
-at zero.
+strictly ascend in that order with exponents that are positive ints (not
+bools or floats), because its factors come from callers and configs.  The
+action builds its own monomials with ``PBWMonomial._ordered``, which skips
+the check: they are canonical by how they are built.  ``_prepend`` puts in
+front a generator that sorts at or before the first factor, merging it into
+that factor when equal, and ``_expand``'s ``rest`` lowers the first
+factor's power by one, dropping it at zero.
+
+Monomials are hash-consed: both constructors return the one live monomial
+of a factor tuple, so equality is identity and the hash is the object's
+default one, and the memo and row tables key on them in C.  Copying and
+unpickling return that same object.  The intern table ``_MONOMIALS`` holds
+each monomial through a weak reference whose callback drops the entry when
+the monomial dies, so the table keeps nothing alive: it shrinks back when a
+memo is dropped.  A monomial caches its ``rest`` on itself, built once
+rather than by every ``_expand`` that needs it.  That reference points to
+a shorter monomial, so the references between monomials form no cycle and
+reference counting frees them.  A cache of ``_prepend``'s results on the
+shorter monomial would point back up and make cycles, so there is none.
 
 The engine is the left action of a generator on the PBW basis of an
 induced module U(G) (x)_{U(b)} C_psi, whose basis is the monomials in the
@@ -47,6 +59,7 @@ from __future__ import annotations
 
 import re
 import typing
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Generator, bracket_basis, gen_key, gen_str, parse_gen
@@ -65,31 +78,47 @@ Factors = Tuple[Tuple[Generator, int], ...]
 
 
 class PBWMonomial:
-    """An ordered product of generator powers in canonical order."""
+    """An ordered product of generator powers in canonical order.
 
-    __slots__ = ("factors", "_hash")
+    Monomials are interned (see the module docstring), so equality is
+    identity and the hash is the object's default one.  ``rest`` is
+    ``_expand``'s suffix, ``None`` until it is first needed.
+    """
 
-    def __init__(self, factors: Iterable[Tuple[Generator, int]] = ()):
+    __slots__ = ("factors", "rest", "__weakref__")
+
+    factors: Factors
+    rest: Optional["PBWMonomial"]
+
+    def __new__(cls, factors: Iterable[Tuple[Generator, int]] = ()) -> "PBWMonomial":
         factors = tuple(factors)
         previous = None
         for g, exp in factors:
-            if exp <= 0:
-                raise ValueError("exponents must be positive")
+            if type(exp) is not int or exp <= 0:
+                raise ValueError(f"exponents must be positive ints, not {exp!r}")
             key = gen_key(g)
             if previous is not None and key <= previous:
                 raise ValueError("factors must strictly ascend in canonical order")
             previous = key
-        self.factors: Factors = factors
-        self._hash = hash(factors)
+        return PBWMonomial._ordered(factors)
 
     @staticmethod
     def _ordered(factors: Factors) -> "PBWMonomial":
-        """A monomial of ``factors`` known to be canonical, unchecked (see
+        """The monomial of ``factors`` known to be canonical, unchecked (see
         the module docstring)."""
+        ref = _MONOMIALS.get(factors)
+        if ref is not None:
+            mono = ref()
+            if mono is not None:
+                return mono
         mono = object.__new__(PBWMonomial)
         mono.factors = factors
-        mono._hash = hash(factors)
+        mono.rest = None
+        _MONOMIALS[factors] = weakref.KeyedRef(mono, _forget, factors)
         return mono
+
+    def __reduce__(self):
+        return (PBWMonomial, (self.factors,))
 
     @staticmethod
     def from_word(word: Sequence[Generator]) -> "PBWMonomial":
@@ -110,14 +139,6 @@ class PBWMonomial:
 
     def length(self) -> int:
         return sum(exp for _, exp in self.factors)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PBWMonomial):
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         if not self.factors:
@@ -141,6 +162,17 @@ class PBWMonomial:
             head, exp = match.groups()
             factors.append((parse_gen(head), int(exp) if exp else 1))
         return PBWMonomial(factors)
+
+
+# The live monomials, under their factors; an entry goes when its monomial
+# dies, so the table never keeps a monomial alive.
+_MONOMIALS: Dict[Factors, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    """Drop a dead monomial's entry, unless another has taken its place."""
+    if _MONOMIALS.get(ref.key) is ref:
+        del _MONOMIALS[ref.key]
 
 
 MONOMIAL_ONE = PBWMonomial()
@@ -254,9 +286,11 @@ class _LeftAction:
         """``g . x u = x . (g . u) + [g, x] . u`` for a non-leaf image."""
         factors = mono.factors
         x, exp = factors[0]
-        rest = PBWMonomial._ordered(
-            ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
-        )
+        rest = mono.rest
+        if rest is None:
+            rest = mono.rest = PBWMonomial._ordered(
+                ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
+            )
         out: Terms = {}
         head = self._table(g).get(rest)
         if head is None:

@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -203,6 +206,79 @@ def test_monomial_validation():
         PBWMonomial(((L(1), 1), (L(0), 1)))
     with pytest.raises(ValueError):
         PBWMonomial(((L(1), 1), (L(1), 1)))
+
+
+@pytest.mark.parametrize("exp", [1.5, 2.0, True, "2", 0, -1])
+def test_monomial_refuses_an_exponent_that_is_no_positive_int(exp):
+    size = len(pbw._MONOMIALS)
+    with pytest.raises(ValueError, match=f"exponents must be positive ints, not {exp!r}"):
+        PBWMonomial(((L(1), exp),))
+    assert len(pbw._MONOMIALS) == size
+
+
+@st.composite
+def canonical_factors(draw):
+    """A canonical factor tuple of up to five generators, centrals included."""
+    indexed = st.builds(Generator, st.sampled_from("LHIJ"), st.integers(-4, 4))
+    gens = draw(st.lists(indexed | st.sampled_from(CENTRALS), unique=True, max_size=5))
+    gens.sort(key=gen_key)
+    return tuple((g, draw(st.integers(1, 4))) for g in gens)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(canonical_factors())
+def test_monomials_are_interned(factors):
+    m = PBWMonomial(factors)
+    assert PBWMonomial(list(factors)) is m
+    assert PBWMonomial.parse(str(m)) is m
+    assert copy.copy(m) is m
+    assert copy.deepcopy(m) is m
+    assert pickle.loads(pickle.dumps(m)) is m
+    assert pbw._MONOMIALS[factors]() is m
+    assert PBWMonomial.__eq__ is object.__eq__
+    assert PBWMonomial.__hash__ is object.__hash__
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(canonical_factors().filter(bool), st.data())
+def test_a_refused_monomial_leaves_no_table_entry(factors, data):
+    # A bad exponent (2.0 and True hash like a valid one), two factors out
+    # of order, or a repeated factor.
+    factors = list(factors)
+    at = data.draw(st.integers(0, len(factors) - 1))
+    fault = data.draw(st.sampled_from(["exponent", "order", "repeat"]))
+    if fault == "exponent":
+        g, exp = factors[at]
+        factors[at] = (g, data.draw(st.sampled_from([exp + 0.5, float(exp), True, str(exp), 0, -exp])))
+    elif fault == "order" and len(factors) > 1:
+        factors[at], factors[at - 1] = factors[at - 1], factors[at]
+    else:
+        factors.insert(at, factors[at])
+    size = len(pbw._MONOMIALS)
+    with pytest.raises(ValueError):
+        PBWMonomial(factors)
+    assert len(pbw._MONOMIALS) == size
+
+
+@pytest.mark.parametrize(
+    "values,m,n", [({"I[3]": "1", "J[3]": "1"}, 3, 1), ({"I[2]": "1", "J[2]": "1"}, 1, 2)]
+)
+def test_the_monomial_table_holds_only_live_monomials(values, m, n):
+    # The table must not outlive a memo: once the search's report and a
+    # straightened word are dropped, only the monomials alive before remain.
+    # The second datum has a witness.
+    datum = whittaker.validate_whittaker(values, m, n)
+    word = [L(2), H(-1), J(0), L(-2), I(1), H(1), C3]
+    gc.collect()
+    size = len(pbw._MONOMIALS)
+    report = whittaker.singular_vector_search(datum, 5)
+    assert report.basis_size == 415
+    assert (len(pbw._MONOMIALS) > size) == report.found
+    del report
+    assert len(pbw._MONOMIALS) == size
+    for strategy in ("leftmost", "rightmost"):
+        straighten(word, strategy)
+        assert len(pbw._MONOMIALS) == size
 
 
 def test_monomial_string_round_trip():

@@ -1048,6 +1048,17 @@ def test_search_none_at_weight_eight(m, n):
     assert report.basis_size == 4809
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 1)])
+def test_search_none_at_weight_nine(m, n):
+    # Criterion 4's data at 9989 basis monomials.
+    top = m + n - 1
+    datum = validate_whittaker({f"I[{top}]": "1", f"J[{top}]": "1"}, m, n)
+    report = singular_vector_search(datum, 9)
+    assert not report.found
+    assert report.witness is None
+    assert report.basis_size == 9989
+
+
 @pytest.mark.parametrize("bound", [-2, 0, True, 1.5, "3"])
 def test_search_refuses_a_bound_that_is_no_positive_int(bound):
     with pytest.raises(ValueError, match="weight_bound must be a positive integer"):
@@ -1078,13 +1089,13 @@ def test_search_checks_only_its_columns(monkeypatch, m, n):
     # own monomials are canonical by construction.  Checking those as well
     # made 3191, 5112 and 7063 checked constructions here.
     calls = [0]
-    init = PBWMonomial.__init__
+    new = PBWMonomial.__new__
 
-    def counted(self, *args):
+    def counted(cls, *args):
         calls[0] += 1
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(PBWMonomial, "__init__", counted)
+    monkeypatch.setattr(PBWMonomial, "__new__", counted)
     top = m + n - 1
     datum = validate_whittaker({f"I[{top}]": "1", f"J[{top}]": "1"}, m, n)
     report = singular_vector_search(datum, 5)
