@@ -249,7 +249,8 @@ def test_a_refused_monomial_leaves_no_table_entry(factors, data):
     fault = data.draw(st.sampled_from(["exponent", "order", "repeat"]))
     if fault == "exponent":
         g, exp = factors[at]
-        factors[at] = (g, data.draw(st.sampled_from([exp + 0.5, float(exp), True, str(exp), 0, -exp])))
+        bad = [exp + 0.5, float(exp), True, str(exp), 0, -exp]
+        factors[at] = (g, data.draw(st.sampled_from(bad)))
     elif fault == "order" and len(factors) > 1:
         factors[at], factors[at - 1] = factors[at - 1], factors[at]
     else:
