@@ -322,14 +322,24 @@ def generators_up_to(index_bound: int) -> List[Generator]:
 
 
 def verify_jacobi(index_bound: int) -> StructureReport:
-    """Check the Jacobi identity on all generator triples up to the bound."""
+    """Check the Jacobi identity on all generator triples up to the bound.
+
+    For each triple (a, b, c) the identity is one sum that must vanish,
+
+        sum over (x, y, z) in {(a, b, c), (b, c, a), (c, a, b)}
+            of sum over g of [y, z]_g * [x, g],
+
+    with [y, z]_g the coefficient of g in ``bracket_basis(y, z)``: one
+    ``Element.combine`` over the cyclic triples and the terms of each inner
+    bracket.
+    """
     report = StructureReport(index_bound=index_bound)
     gens = generators_up_to(index_bound)
     for a, b, c in itertools.combinations_with_replacement(gens, 3):
-        total = (
-            bracket(Element.single(a), bracket_basis(b, c))
-            + bracket(Element.single(b), bracket_basis(c, a))
-            + bracket(Element.single(c), bracket_basis(a, b))
+        total = Element.combine(
+            (coeff, bracket_basis(x, g))
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b))
+            for g, coeff in bracket_basis(y, z).terms.items()
         )
         report.jacobi_checked += 1
         if total:

@@ -27,7 +27,8 @@ generator's monomial images as Gaussian-integer numerators over one
 denominator, and one kernel, ``_GeneratorImages.apply``, merges them.  The
 closure probe acts through ``CachedAction.act``, which reduces the result
 to ``Scalar`` coefficients; ``verify_omega_axioms`` calls the kernel
-directly and compares numerators, so it builds no ``Poly`` or ``Scalar``
+directly and adds both sides of each axiom, cross-multiplied, into one sum
+of numerators that must vanish, so it builds no ``Poly`` or ``Scalar``
 inside its loop.
 
 ``submodule_closure_probe`` computes a least fixed point: the smallest
@@ -333,13 +334,21 @@ def verify_omega_axioms(
     Runs over every ordered generator pair with index magnitude up to the
     bound (antisymmetry makes the reversed pair redundant, so only one
     orientation is checked) and every monomial X^a Y^b with a, b up to the
-    cap.  Both sides stay Gaussian-integer numerators (``CachedAction``'s
-    cached images, merged by ``_GeneratorImages.apply``): the commutator
-    g1(g2 f) - g2(g1 f) over D1 D2, and [g1, g2] f = sum c_k g_k f over
-    lcm(c_k.d D_k), with D the generators' denominators.  Both denominators
-    are positive, so n1/d1 = n2/d2 exactly when n1 d2 = n2 d1, part by part
-    and monomial by monomial; the cross-multiplied integer comparison is
-    exact equality, without reducing either side.
+    cap.  Each check is one sum that must vanish.  In Gaussian-integer
+    numerators (``CachedAction``'s cached images, merged by
+    ``_GeneratorImages.apply``), the bracket side [g1, g2] f = sum c_k g_k f
+    is lhs over D_lhs = lcm(c_k.d D_k), and the commutator g1(g2 f) -
+    g2(g1 f) is rhs over D_rhs = D1 D2, with D the generators'
+    denominators.  The sweep accumulates
+
+        lhs * D_rhs - rhs * D_lhs
+
+    in one integer dict: D_rhs is folded into the bracket coefficients once
+    per pair, and -D_lhs and +D_lhs into the inputs of g1(g2 f) and
+    g2(g1 f).  Both denominators are positive, so lhs / D_lhs = rhs / D_rhs
+    exactly when lhs D_rhs = rhs D_lhs, part by part and monomial by
+    monomial: the sum vanishes exactly when the axiom holds, without
+    reducing either side.
     """
     report = OmegaAxiomReport(index_bound=index_bound, basis_cap=basis_cap)
     gens = generators_up_to(index_bound)
@@ -360,25 +369,29 @@ def verify_omega_axioms(
             lhs_den = lcm(*(coeff.d * images.denominator for images, coeff in bracket))
             scaled = []
             for images, coeff in bracket:
-                scale = lhs_den // (coeff.d * images.denominator)
+                scale = rhs_den * (lhs_den // (coeff.d * images.denominator))
                 scaled.append((images, coeff.a * scale, coeff.b * scale))
             for mono in monomials:
-                lhs: Dict[Tuple[int, int], List[int]] = {}
+                total: Dict[Tuple[int, int], List[int]] = {}
                 for images, p, q in scaled:
-                    images.apply({mono: (p, q)}, lhs)
-                rhs: Dict[Tuple[int, int], List[int]] = {}
+                    images.apply({mono: (p, q)}, total)
                 if not either_zero:
-                    images1.apply(images2.image(mono), rhs)
-                    images2.apply(
-                        {out: (-re, -im) for out, (re, im) in images1.image(mono).items()},
-                        rhs,
+                    images1.apply(
+                        {
+                            out: (-lhs_den * re, -lhs_den * im)
+                            for out, (re, im) in images2.image(mono).items()
+                        },
+                        total,
                     )
-                for out in lhs.keys() | rhs.keys():
-                    l_re, l_im = lhs.get(out, (0, 0))
-                    r_re, r_im = rhs.get(out, (0, 0))
-                    if l_re * rhs_den != r_re * lhs_den or l_im * rhs_den != r_im * lhs_den:
-                        report.violations.append(f"[{g1},{g2}] on X^{mono[0]}Y^{mono[1]}")
-                        break
+                    images2.apply(
+                        {
+                            out: (lhs_den * re, lhs_den * im)
+                            for out, (re, im) in images1.image(mono).items()
+                        },
+                        total,
+                    )
+                if any(re or im for re, im in total.values()):
+                    report.violations.append(f"[{g1},{g2}] on X^{mono[0]}Y^{mono[1]}")
     return report
 
 
@@ -462,12 +475,12 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
     """
     if not seed:
         raise ValueError("seed must be nonzero")
-    # Each family that acts, by its index-0 generator, with the rise of g_m
-    # for every m != 0.
+    # Each family that acts, by its index-0 generator, with the rise of g_0
+    # and the rise of g_m for every m != 0.
     families = [
-        (Generator(fam, 0), degree_raise(spec, Generator(fam, 1)))
+        (Generator(fam, 0), rise_0, degree_raise(spec, Generator(fam, 1)))
         for fam in "JIHL"
-        if degree_raise(spec, Generator(fam, 0)) is not None
+        if (rise_0 := degree_raise(spec, Generator(fam, 0))) is not None
     ]
 
     basis = SparseEchelon()
@@ -488,10 +501,10 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
         v = queue.popleft()
         degree = v.total_degree()
         taylor = [_taylor(v, j) for j in range(v.y_degree() + 1)]
-        for g, rise in families:
+        for g, rise_0, rise in families:
             if degree + rise > degree_cap:
                 # Only L_0 can still fit (L with deg delta >= 2).
-                if degree + degree_raise(spec, g) <= degree_cap:
+                if degree + rise_0 <= degree_cap:
                     spin(action.act(g, v))
             elif g.family != "L":
                 for d_j in taylor:

@@ -60,7 +60,8 @@ from __future__ import annotations
 import re
 import typing
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Generator, bracket_basis, gen_key, gen_str, parse_gen
 from .scalars import ONE, Combination, LinearCombination, Scalar, accumulate
@@ -225,13 +226,7 @@ class _LeftAction:
 
     def __init__(self, datum):
         self.datum = datum
-        self.memo: Dict[Generator, Dict[PBWMonomial, Image]] = {}
-
-    def _table(self, g: Generator) -> Dict[PBWMonomial, Image]:
-        table = self.memo.get(g)
-        if table is None:
-            table = self.memo[g] = {}
-        return table
+        self.memo: DefaultDict[Generator, Dict[PBWMonomial, Image]] = defaultdict(dict)
 
     def image(self, g: Generator, mono: PBWMonomial) -> Image:
         """``g . mono . w`` for a monomial in the free generators.
@@ -241,7 +236,7 @@ class _LeftAction:
         sent its image.  The frames sit on an explicit stack, so the depth
         of the recursion never reaches Python's stack.
         """
-        table = self._table(g)
+        table = self.memo[g]
         found = table.get(mono)
         if found is not None:
             return found
@@ -262,9 +257,9 @@ class _LeftAction:
                 continue
             found = self._leaf(g, mono)
             if found is not None:
-                self._table(g)[mono] = found
+                self.memo[g][mono] = found
             else:
-                keys.append((self._table(g), mono))
+                keys.append((self.memo[g], mono))
                 frames.append(self._expand(g, mono))
         return found
 
@@ -292,10 +287,10 @@ class _LeftAction:
                 ((x, exp - 1),) + factors[1:] if exp > 1 else factors[1:]
             )
         out: Terms = {}
-        head = self._table(g).get(rest)
+        head = self.memo[g].get(rest)
         if head is None:
             head = yield (g, rest)
-        x_table = self._table(x)
+        x_table = self.memo[x]
         for term, coeff in head:
             found = x_table.get(term)
             if found is None:
@@ -305,7 +300,7 @@ class _LeftAction:
             for result, factor in found:
                 accumulate(out, result, coeff if factor is ONE else coeff * factor)
         for h, coeff in bracket_basis(g, x).terms.items():
-            found = self._table(h).get(rest)
+            found = self.memo[h].get(rest)
             if found is None:
                 found = yield (h, rest)
             for result, factor in found:

@@ -24,8 +24,9 @@ kills them).
 sigma-constant regime: recover the top Y-degree layer through a Vandermonde
 system in the H-actions, walk the X-degree down using the inverted constant
 sigma, and regenerate the monomial grid with two L-actions at different
-indices.  With a non-constant sigma the X-descent is unavailable and the
-probe reports that obstruction instead of forcing an answer.
+indices, each step one identity on the top-degree part of the images.
+With a non-constant sigma the X-descent is unavailable and the probe
+reports that obstruction instead of forcing an answer.
 """
 
 from __future__ import annotations
@@ -296,6 +297,29 @@ def tensor_closure_probe(
     stops and reports the obstruction.  Phase 3 starts from the reached
     1 (x) w and derives every X^i Y^j (x) w with i + j up to the bound from
     two L-actions at distinct indices, checking each step exactly.
+
+    The L step.  Take m above ``annihilation_bound(w)``, so L_m kills w and
+    L_m (f (x) w) = (L_m f) (x) w, with L_m f = lam^m f(X, Y-m) (Y + m(eta
+    + dx X)) in both sigma families.  For f = X^(i-1) Y^j,
+
+        lam^-m L_m f = X^(i-1) (Y-m)^j (Y + m eta + m dx X),
+
+    and (Y-m)^j is Y^j plus terms of lower degree, so the part of degree
+    >= i + j of lam^-m L_m (X^(i-1) Y^j (x) w) is
+
+        u(m) = (X^(i-1) Y^(j+1) + m dx X^i Y^j) (x) w.
+
+    At two indices m1 != m2 above the bound, u(m1) - u(m2) = (m1 - m2) dx
+    X^i Y^j (x) w, and u(m1) - m1 dx X^i Y^j (x) w is the sibling
+    X^(i-1) Y^(j+1) (x) w.  Induction on the degree l = i + j: if the
+    submodule generated by 1 (x) w holds every monomial tensor of degree
+    below l, it holds the dropped lower part of each image, so it holds
+    u(m1) and u(m2), hence X^i Y^j (x) w for i = 1..l (dx = +-1 is
+    invertible) and, from i = 1, Y^l (x) w.  So 1 (x) w generates all of
+    C[X, Y] (x) w, at every degree.  The proof covers every degree; the
+    probe checks both identities at every (i, j) with 1 <= i <= i + j <=
+    ``monomial_bound``, and ``monomials_generated`` counts the
+    (B + 1)(B + 2)/2 monomials of degree at most B = ``monomial_bound``.
     """
     steps: List[str] = []
     if not seed:
@@ -309,7 +333,6 @@ def tensor_closure_probe(
             steps=["aborted: no I/J action available"],
         )
     family, dx = spec.sigma_slot
-    sign = Scalar(-dx)
 
     # Already of the target shape?
     if seed.x_degree() == seed.y_degree() == 0:
@@ -352,52 +375,34 @@ def tensor_closure_probe(
     # Phase 3: regenerate the monomial grid from 1 (x) w.
     bound_w = module.annihilation_bound(w)
     m1, m2 = bound_w + 1, bound_w + 2
-    known = {(0, 0)}
-
-    def reduce_known(t: TensorVector) -> TensorVector:
-        return TensorVector(
-            {key: c for key, c in t.terms.items() if key[0] not in known}
-        )
 
     def pure(i: int, j: int) -> TensorVector:
         return TensorVector.from_pairs([(Poly.monomial(i, j), w)])
 
-    def l_image(m: int, t: TensorVector) -> TensorVector:
-        return reduce_known(
-            tensor_act(spec, module, L(m), t).scale(scalar_pow(spec.lam, -m))
+    def l_top(m: int, i: int, j: int) -> TensorVector:
+        """u(m): the part of degree >= i + j of lam^-m L_m (X^(i-1) Y^j (x) w)."""
+        image = tensor_act(spec, module, L(m), pure(i - 1, j)).scale(
+            scalar_pow(spec.lam, -m)
+        )
+        return TensorVector(
+            {key: c for key, c in image.terms.items() if sum(key[0]) >= i + j}
         )
 
     for level in range(1, monomial_bound + 1):
         for i in range(1, level + 1):
             j = level - i
-            parent = pure(i - 1, j)
-            u1 = l_image(m1, parent)
-            u2 = l_image(m2, parent)
-            # After reduction both must be supported on exactly the two
-            # unknown monomials X^{i-1} Y^{j+1} and X^i Y^j.
-            if u1 - u2 != pure(i, j).scale(Scalar(m2 - m1) * sign):
-                raise AssertionError(
-                    f"two-index L step failed at X^{i} Y^{j}"
-                )
-            known.add((i, j))
-            # The sibling monomial falls out of either image for free,
-            # unless an earlier step of this level already produced it
-            # (then reduction stripped it from u1 and there is nothing
-            # left to recover).
-            if (i - 1, j + 1) not in known:
-                sibling = u1 + pure(i, j).scale(Scalar(m1) * sign)
-                if sibling != pure(i - 1, j + 1):
-                    raise AssertionError(
-                        f"sibling recovery failed at X^{i-1} Y^{j+1}"
-                    )
-                known.add((i - 1, j + 1))
+            u1 = l_top(m1, i, j)
+            if u1 - l_top(m2, i, j) != pure(i, j).scale(Scalar((m1 - m2) * dx)):
+                raise AssertionError(f"two-index L step failed at X^{i} Y^{j}")
+            if u1 - pure(i, j).scale(Scalar(m1 * dx)) != pure(i - 1, j + 1):
+                raise AssertionError(f"sibling recovery failed at X^{i-1} Y^{j+1}")
         steps.append(f"generated all monomials of total degree {level}")
 
     return TensorProbeReport(
         reached_one_tensor=True,
         obstruction=None,
         monomial_bound=monomial_bound,
-        monomials_generated=len(known),
+        monomials_generated=(monomial_bound + 1) * (monomial_bound + 2) // 2,
         steps=steps,
     )
 

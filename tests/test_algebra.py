@@ -4,11 +4,13 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planargca import algebra
 from planargca.algebra import (
     C1,
     C2,
@@ -25,6 +27,7 @@ from planargca.algebra import (
     bracket_basis,
     gen_key,
     gen_str,
+    generators_up_to,
     grade,
     parse_gen,
     verify_jacobi,
@@ -124,6 +127,58 @@ def test_jacobi_with_centrals_trivial():
         + bracket(Element.single(L(-1)), bracket_basis(C1, L(1)))
     )
     assert total == Element.zero()
+
+
+def reference_jacobi(index_bound):
+    """The Jacobi sweep as three brackets added up, through whatever
+    ``algebra.bracket_basis`` is at call time."""
+    checked, violations = 0, []
+    gens = generators_up_to(index_bound)
+    for a, b, c in itertools.combinations_with_replacement(gens, 3):
+        total = (
+            bracket(Element.single(a), algebra.bracket_basis(b, c))
+            + bracket(Element.single(b), algebra.bracket_basis(c, a))
+            + bracket(Element.single(c), algebra.bracket_basis(a, b))
+        )
+        checked += 1
+        if total:
+            violations.append(f"jacobi({a},{b},{c}) = {total}")
+    return checked, violations
+
+
+TRUE_BRACKET = algebra.bracket_basis
+
+
+def corrupted_bracket(kind):
+    """``bracket_basis`` with one entry altered in one orientation only.
+
+    Scaling a whole family of brackets (all of [H, I], or the Virasoro
+    cocycle) keeps the Jacobi identity, so each corruption changes one
+    orientation: [H_m, I_n] = 2 I_(m+n) with [I_n, H_m] kept, or the c1
+    coefficient of [L_m, L_-m] doubled for m > 0 only.
+    """
+
+    def table(g1, g2):
+        out = TRUE_BRACKET(g1, g2)
+        if kind == "H-I doubled" and (g1.family, g2.family) == ("H", "I"):
+            return out.scale(sc(2))
+        if kind == "LL central doubled" and g1.family == "L" == g2.family and g1.index > 0:
+            return out + Element({C1: out.coeff(C1)})
+        return out
+
+    return table
+
+
+@pytest.mark.parametrize("kind", [None, "H-I doubled", "LL central doubled"])
+def test_jacobi_sweep_matches_the_three_bracket_sum(kind):
+    # The sweep's one sum names the same triples, with the same totals, in
+    # the same order, as the three brackets added up; a corrupted table
+    # makes both report.
+    table = TRUE_BRACKET if kind is None else corrupted_bracket(kind)
+    with mock.patch.object(algebra, "bracket_basis", table):
+        report = verify_jacobi(3)
+        assert (report.jacobi_checked, report.violations) == reference_jacobi(3)
+    assert bool(report.violations) == (kind is not None)
 
 
 def test_translation_on_l2():

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from planargca import omega
 from planargca.algebra import C1, C2, C3, Generator, H, I, J, L, bracket_basis, gen_key
 from planargca.omega import OmegaSpec
 from planargca.pbw import MONOMIAL_ONE, PBWMonomial
 from planargca.poly import P_ONE, Poly, X, Y
-from planargca.scalars import ONE, sc
+from planargca.scalars import ONE, Scalar, sc, scalar_pow
 from planargca.tensor import (
     _LIFT_KILLS,
     DegenerateSystem,
@@ -382,6 +384,74 @@ def test_closure_probe_delta_family_obstruction():
     report = tensor_closure_probe(spec, module, seed, 2)
     assert not report.reached_one_tensor
     assert report.obstruction is not None
+
+
+_complex = st.builds(
+    lambda re, im: sc(Fraction(*re), Fraction(*im)),
+    st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+    st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def constant_sigma_probes(draw):
+    variant = draw(st.sampled_from(["sigma_zero", "zero_sigma"]))
+    spec = OmegaSpec(
+        variant=variant,
+        lam=draw(_complex.filter(bool)),
+        eta=draw(_complex),
+        sigma=Poly.monomial(0, 0, draw(_complex.filter(bool))),
+    )
+    module = draw(st.sampled_from(axiom_modules()))
+    if draw(st.booleans()):
+        seed = one_tensor(draw_vector(draw, module))
+    else:
+        seed = TensorVector.from_pairs(draw_pairs(draw, module))
+    return spec, module, seed, draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(constant_sigma_probes())
+def test_closure_probe_regenerates_every_monomial(case):
+    # Both sigma families with a constant sigma, complex lam, eta and
+    # sigma, over the trivial module, two Whittaker modules and the lifts;
+    # pure seeds 1 (x) v and sums of one to three pairs.  Every L step
+    # holds, so the probe generates the whole grid of degree at most B.
+    spec, module, seed, bound = case
+    assume(seed)
+    report = tensor_closure_probe(spec, module, seed, bound)
+    assert report.reached_one_tensor and report.obstruction is None
+    assert report.monomials_generated == (bound + 1) * (bound + 2) // 2
+    assert report.steps[-bound:] == [
+        f"generated all monomials of total degree {level}" for level in range(1, bound + 1)
+    ]
+
+
+TRUE_FACTORS = omega.action_factors
+
+
+def doubled_l_shift(spec, g):
+    """``action_factors`` with L's multiplier Y + m(eta + 2 dx X)."""
+    table = TRUE_FACTORS(spec, g)
+    if g.family != "L":
+        return table
+    multiplier, dx, dy = table
+    extra = scalar_pow(spec.lam, g.index) * Scalar(g.index * spec.sigma_slot[1])
+    return multiplier + Poly.monomial(1, 0, extra), dx, dy
+
+
+@pytest.mark.parametrize("spec", [sigma_zero(eta=sc(1, 3)), zero_sigma(lam=sc(1, 1))])
+@pytest.mark.parametrize(
+    "module", [TrivialModule(), whittaker_module()], ids=["trivial", "whittaker"]
+)
+def test_closure_probe_refuses_a_wrong_l_action(spec, module):
+    # The polynomial module with L_m f = lam^m f(X, Y-m) (Y + m(eta + 2 dx
+    # X)) breaks the L step at once: u(m1) - u(m2) is twice the expected
+    # multiple of X (x) w.
+    seed = TensorVector.from_pairs([(X * Y + P_ONE, ModuleVector.cyclic())])
+    with mock.patch.object(omega, "action_factors", doubled_l_shift):
+        with pytest.raises(AssertionError, match=r"L step failed at X\^1 Y\^0$"):
+            tensor_closure_probe(spec, module, seed, 2)
 
 
 # -- J-tail classification ----------------------------------------------------------
