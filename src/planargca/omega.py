@@ -25,11 +25,10 @@ table above once in that form; ``omega_act``, ``degree_raise`` and the
 integer ``CachedAction`` read it.  ``CachedAction`` caches each
 generator's monomial images as Gaussian-integer numerators over one
 denominator, and one kernel, ``_GeneratorImages.apply``, merges them.  The
-closure probe acts through ``CachedAction.act``, which reduces the result
-to ``Scalar`` coefficients; ``verify_omega_axioms`` calls the kernel
-directly and adds both sides of each axiom, cross-multiplied, into one sum
-of numerators that must vanish, so it builds no ``Poly`` or ``Scalar``
-inside its loop.
+closure probe acts through ``CachedAction.act``, which takes and returns
+numerators; ``verify_omega_axioms`` calls the kernel directly and adds both
+sides of each axiom, cross-multiplied, into one sum of numerators that must
+vanish.  Neither builds a ``Poly`` or a ``Scalar`` inside its loop.
 
 ``submodule_closure_probe`` computes a least fixed point: the smallest
 subspace W that contains the seed and holds g_m w for every generator, every
@@ -40,10 +39,13 @@ are H_0, sigma_0 or L_0 applied to D_j w = ∂_Y^j w / j!, less delta
 D_(j-1) w for L.  W holds every g_m w exactly when it holds those
 coefficients, so the probe acts with them alone.  It spins the seed
 MeatAxe style until no queued remainder is left, with no column table and
-no early stop: X^a Y^b is the echelon column (-(a+b), a), whose natural
-order is descending total degree, then ascending X-degree, so each stored
-remainder's pivot is its top monomial and the remainders of degree at most
-k span W ∩ P≤k.  1 in W proves that the seed generates the whole module, at
+no early stop.  Only the span matters, so every vector from the seed to
+the report is Gaussian-integer ``Numerators`` with no denominator, held in
+a fraction-free ``FractionFreeEchelon``.  X^a Y^b is the echelon column
+a - (d+1)(d+2)/2 with d = a + b, an integer whose order is descending
+total degree, then ascending X-degree, so each stored remainder's pivot is
+its top monomial and the remainders of degree at most k span W ∩ P≤k.
+1 in W proves that the seed generates the whole module, at
 every index and every degree: W lies in U(g) seed, and H_0 and L_0 act as
 multiplication by X and by Y.  1 outside W is only evidence of a proper
 submodule, never a proof, since the module is infinite dimensional.  The
@@ -56,13 +58,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, lcm
+from math import comb, isqrt, lcm
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .algebra import Generator, bracket_basis, generators_up_to
-from .linalg import SparseEchelon
+from .linalg import FractionFreeEchelon
 from .poly import P_ZERO, Poly
-from .scalars import ONE, Scalar, scalar_from_ints, scalar_pow
+from .scalars import Scalar, scalar_from_ints, scalar_pow
 
 __all__ = [
     "InvalidSpec",
@@ -264,6 +266,20 @@ class _GeneratorImages:
         return total
 
 
+class Numerators:
+    """A polynomial up to a nonzero scale, in Gaussian integers.
+
+    ``terms`` maps the exponents ``(a, b)`` of X^a Y^b to the numerators
+    ``(p, q)`` of its coefficient (p + q i) / c, over one common
+    denominator c that is not kept: the closure probe needs only spans.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: _IntImage):
+        self.terms = terms
+
+
 class CachedAction:
     """Generator actions extended linearly over cached integer monomial images.
 
@@ -277,10 +293,9 @@ class CachedAction:
     image is a Gaussian-integer polynomial over that denominator, and each
     new image costs one pass of integer additions over a cached one.
     ``_GeneratorImages.apply`` is the one kernel that merges images in
-    integers.  ``act``, the closure probe's action, brings the input's
-    coefficients to their common denominator, calls it and builds one
-    reduced ``Scalar`` per output monomial; the axiom sweep calls it
-    directly and never leaves the integers.
+    integers.  ``act``, the closure probe's action, hands it the input's
+    numerators and returns its numerators; the axiom sweep calls it
+    directly.  Neither builds a ``Poly`` or a ``Scalar``.
     """
 
     def __init__(self, spec: OmegaSpec):
@@ -293,25 +308,16 @@ class CachedAction:
             self._generators[g] = None if factors is None else _GeneratorImages(*factors)
         return self._generators[g]
 
-    def act(self, g: Generator, f: Poly) -> Poly:
+    def act(self, g: Generator, f: Numerators) -> Dict[Tuple[int, int], List[int]]:
+        """Numerators of g.f, as ``_GeneratorImages.apply`` gives them.
+
+        For f over some denominator c the result is over c times the
+        ``denominator`` of g's images; empty when g acts as zero.
+        """
         images = self._images(g)
-        if images is None or not f:
-            return P_ZERO
-        common = lcm(*(c.d for c in f.terms.values()))
-        total = images.apply(
-            {
-                mono: (c.a * (common // c.d), c.b * (common // c.d))
-                for mono, c in f.terms.items()
-            }
-        )
-        denominator = common * images.denominator
-        return Poly(
-            {
-                out: scalar_from_ints(re, im, denominator)
-                for out, (re, im) in total.items()
-                if re or im
-            }
-        )
+        if images is None:
+            return {}
+        return images.apply(f.terms)
 
 
 @dataclass
@@ -404,9 +410,31 @@ class ClosureReport:
     basis: List[list]
 
 
-def _taylor(v: Poly, j: int) -> Poly:
+def _taylor(v: Numerators, j: int) -> Numerators:
     """D_j v = ∂_Y^j v / j!, the coefficient of t^j in v(X, Y+t)."""
-    return Poly({(a, b - j): c * comb(b, j) for (a, b), c in v.terms.items() if b >= j})
+    out = {}
+    for (a, b), (p, q) in v.terms.items():
+        if b >= j:
+            c = comb(b, j)
+            out[(a, b - j)] = (p * c, q * c)
+    return Numerators(out)
+
+
+def _scaled(v: Numerators, c: int) -> Numerators:
+    if c == 1:
+        return v
+    return Numerators({mono: (p * c, q * c) for mono, (p, q) in v.terms.items()})
+
+
+def _monomial(col: int) -> Tuple[int, int]:
+    """The exponents (a, b) of the probe's column a - (d+1)(d+2)/2, d = a + b.
+
+    The columns of degree d are -T(d+1) .. -T(d+1) + d with T(n) = n(n+1)/2,
+    so d is the largest n with T(n) < -col.
+    """
+    d = (isqrt(-8 * col - 7) - 1) // 2
+    a = col + (d + 1) * (d + 2) // 2
+    return a, d - a
 
 
 def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> ClosureReport:
@@ -427,11 +455,16 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
     the reduced echelon basis of W, row by row in column order.
 
     The probe spins the seed (MeatAxe style): it inserts the seed into a
-    ``SparseEchelon`` and queues a copy of each normalized remainder that
-    the echelon stores, then acts on each queued remainder and inserts the
-    images.  X^a Y^b is column (-(a+b), a), and ``SparseEchelon`` orders
-    columns by their natural order: descending total degree, then
-    ascending X-degree, so each remainder's pivot is its top monomial.
+    ``FractionFreeEchelon`` and queues a copy of each remainder that the
+    echelon stores, then acts on each queued remainder and inserts the
+    images.  Only the span matters, so every vector is ``Numerators``,
+    Gaussian integers with no denominator: D_j v uses the integers
+    comb(b, j), ``CachedAction.act`` returns integer images, and the two
+    sides of L's coefficient below are brought over one common
+    denominator, so that it is their exact difference.  X^a Y^b is column
+    a - (d+1)(d+2)/2 with d = a + b, and the echelon orders columns as
+    integers: descending total degree, then ascending X-degree, so each
+    remainder's pivot is its top monomial.
     Every remainder is 0 at the pivots stored before it, so in a nonzero
     combination of remainders the earliest one of the highest degree keeps
     its pivot's coefficient: the combination has that degree, and the
@@ -472,6 +505,8 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
     act as multiplication by X and by Y, so 1 in U(g) seed gives every
     X^a Y^b.  False is only evidence of a proper submodule, never a proof,
     since the module is infinite dimensional and W sees only P≤cap.
+    ``basis`` divides each stored row by its pivot, a positive integer;
+    it is the only place the probe builds a ``Scalar``.
     """
     if not seed:
         raise ValueError("seed must be nonzero")
@@ -483,24 +518,32 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
         if (rise_0 := degree_raise(spec, Generator(fam, 0))) is not None
     ]
 
-    basis = SparseEchelon()
+    basis = FractionFreeEchelon()
     action = CachedAction(spec)
-    queue: Deque[Poly] = deque()
+    queue: Deque[Numerators] = deque()
+    # L's coefficients are L_0(D_j v) + (-delta) D_(j-1) v.  L_0 multiplies
+    # by Y, so its images have denominator 1; scaling D_j v by -delta's
+    # denominator brings both sides over that one.
+    minus_delta = _GeneratorImages(-spec.l_delta, 0, 0)
+    no_terms = Numerators({})
 
-    # X^a Y^b is column (-(a+b), a).
-    def to_poly(row: Dict[Tuple[int, int], Scalar]) -> Poly:
-        return Poly({(a, -d - a): coeff for (d, a), coeff in row.items()})
-
-    def spin(p: Poly) -> None:
-        if basis.insert({(-a - b, a): coeff for (a, b), coeff in p.terms.items()}):
+    def spin(image: Dict[Tuple[int, int], List[int]]) -> None:
+        # X^a Y^b is column a - (d+1)(d+2)/2 with d = a + b.
+        row = {a - (a + b + 1) * (a + b + 2) // 2: entry for (a, b), entry in image.items()}
+        if basis.insert(row):
             # The new row is stored last; copy it before back-substitution.
-            queue.append(to_poly(basis.pivots[next(reversed(basis.pivots))]))
+            stored = basis.pivots[next(reversed(basis.pivots))]
+            queue.append(Numerators({_monomial(col): (c.a, c.b) for col, c in stored.items()}))
 
-    spin(seed)
+    common = lcm(*(c.d for c in seed.terms.values()))
+    spin({
+        mono: (c.a * (common // c.d), c.b * (common // c.d))
+        for mono, c in seed.terms.items()
+    })
     while queue:
         v = queue.popleft()
-        degree = v.total_degree()
-        taylor = [_taylor(v, j) for j in range(v.y_degree() + 1)]
+        degree = max(a + b for a, b in v.terms)
+        taylor = [v] + [_taylor(v, j) for j in range(1, max(b for _, b in v.terms) + 1)]
         for g, rise_0, rise in families:
             if degree + rise > degree_cap:
                 # Only L_0 can still fit (L with deg delta >= 2).
@@ -511,16 +554,24 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
                     spin(action.act(g, d_j))
             else:
                 # j = 0..deg_Y v + 1, pairing D_j v with D_(j-1) v.
-                for lower, d_j in zip([P_ZERO] + taylor, taylor + [P_ZERO]):
-                    spin(action.act(g, d_j) - spec.l_delta * lower)
+                for lower, d_j in zip([no_terms] + taylor, taylor + [no_terms]):
+                    image = action.act(g, _scaled(d_j, minus_delta.denominator))
+                    spin(minus_delta.apply(lower.terms, image))
 
-    degrees = [-d for d, _ in basis.pivots]
     return ClosureReport(
         dimension=basis.dimension,
-        contains_one=basis.contains({(0, 0): ONE}),  # 1 = X^0 Y^0
+        contains_one=basis.contains({-1: (1, 0)}),  # 1 = X^0 Y^0 is column -1
         dimension_by_degree=[
-            sum(d <= k for d in degrees) for k in range(degree_cap + 1)
+            sum(sum(_monomial(col)) <= k for col in basis.pivots)
+            for k in range(degree_cap + 1)
         ],
         degree_cap=degree_cap,
-        basis=[to_poly(row).to_json() for row in basis.rows_sorted()],
+        # Each row over its pivot, a positive integer: the reduced basis.
+        basis=[
+            Poly({
+                _monomial(col): scalar_from_ints(c.a, c.b, row[min(row)].a)
+                for col, c in row.items()
+            }).to_json()
+            for row in basis.rows_sorted()
+        ],
     )

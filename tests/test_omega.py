@@ -2,6 +2,7 @@ import dataclasses
 import random
 from collections import deque
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -25,6 +26,7 @@ from planargca.omega import (
     CachedAction,
     ClosureReport,
     InvalidSpec,
+    Numerators,
     OmegaSpec,
     degree_raise,
     omega_act,
@@ -33,7 +35,7 @@ from planargca.omega import (
 )
 from planargca.poly import P_ONE, P_ZERO, Poly, X, Y
 from planargca.sampling import random_poly
-from planargca.scalars import ONE, sc
+from planargca.scalars import ONE, sc, scalar_from_ints
 
 
 def sigma_zero(lam=sc(2), eta=sc(0), sigma=P_ONE):
@@ -46,6 +48,34 @@ def zero_sigma(lam=sc(2), eta=sc(0), sigma=P_ONE):
 
 def delta_only(lam=sc(2), delta=X):
     return OmegaSpec(variant="delta_only", lam=lam, delta=delta)
+
+
+def numerators(p):
+    """``p`` as Gaussian-integer numerators over its common denominator."""
+    common = lcm(*(c.d for c in p.terms.values()))
+    return common, Numerators({
+        mono: (c.a * (common // c.d), c.b * (common // c.d))
+        for mono, c in p.terms.items()
+    })
+
+
+def as_poly(terms, denominator=1):
+    """The polynomial with the numerators ``terms`` over ``denominator``."""
+    return Poly({
+        mono: scalar_from_ints(re, im, denominator)
+        for mono, (re, im) in terms.items()
+        if re or im
+    })
+
+
+def act_on_poly(action, g, f):
+    """``CachedAction.act`` on a polynomial: ``f`` goes in as numerators over
+    its common denominator c, and the image comes back over c times the
+    denominator of g's images."""
+    common, f_numerators = numerators(f)
+    images = action._images(g)
+    denominator = common * (1 if images is None else images.denominator)
+    return as_poly(action.act(g, f_numerators), denominator)
 
 
 def test_spec_validation():
@@ -164,7 +194,7 @@ def test_cached_action_matches_direct():
     for _ in range(10):
         f = random_poly(rng, 3)
         g = Generator("LHIJ"[rng.randrange(4)], rng.randint(-3, 3))
-        assert action.act(g, f) == omega_act(spec, g, f)
+        assert act_on_poly(action, g, f) == omega_act(spec, g, f)
 
 
 SIGMA_X2 = X * X + P_ONE
@@ -278,9 +308,9 @@ def test_cached_action_matches_omega_act(data):
     for _ in range(data.draw(st.integers(1, 6))):
         g = data.draw(st.sampled_from(ACTION_GENERATORS))
         f = draw_poly(data, 10, univariate=False)
-        image = action.act(g, f)
+        image = act_on_poly(action, g, f)
         assert image == omega_act(spec, g, f), (spec, g, f)
-        assert action.act(g, image) == omega_act(spec, g, image)
+        assert act_on_poly(action, g, image) == omega_act(spec, g, image)
 
 
 def reference_axioms(spec, index_bound, basis_cap):
@@ -404,7 +434,7 @@ def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", desc
         inserted = False
         for poly in [to_poly(row) for row in basis.rows_sorted()]:
             for g in generators:
-                image = action.act(g, poly)
+                image = act_on_poly(action, g, poly)
                 if image and image.total_degree() <= degree_cap:
                     inserted = basis.insert(to_row(image)) or inserted
     rows = [to_poly(row) for row in basis.rows_sorted()]
@@ -478,18 +508,26 @@ def test_closure_from_ten_random_seeds_constant_sigma():
         assert probe.contains_one
 
 
-def test_closure_spans_all_of_p10_for_constant_sigma():
-    probe = submodule_closure_probe(sigma_zero(eta=sc(1, 3)), X * Y + P_ONE, 10)
-    assert probe.dimension == 66
-    assert probe.dimension_by_degree == [(k + 1) * (k + 2) // 2 for k in range(11)]
+@pytest.mark.parametrize(
+    "degree_cap, dimension", [(10, 66), (24, 325)], ids=["10", "24"]
+)
+def test_closure_spans_all_of_p_cap_for_constant_sigma(degree_cap, dimension):
+    probe = submodule_closure_probe(sigma_zero(eta=sc(1, 3)), X * Y + P_ONE, degree_cap)
+    assert probe.dimension == dimension
+    assert probe.dimension_by_degree == [
+        (k + 1) * (k + 2) // 2 for k in range(degree_cap + 1)
+    ]
 
 
-def test_closure_spans_x_times_p9_for_sigma_x():
-    # X * P≤9 meets P≤k in X * P≤(k-1), of dimension k (k + 1) / 2.
+@pytest.mark.parametrize(
+    "degree_cap, dimension", [(10, 55), (24, 300)], ids=["10", "24"]
+)
+def test_closure_spans_x_times_p_cap_minus_one_for_sigma_x(degree_cap, dimension):
+    # X * P≤(cap-1) meets P≤k in X * P≤(k-1), of dimension k (k + 1) / 2.
     spec = sigma_zero(eta=sc(1, 3), sigma=X)
-    probe = submodule_closure_probe(spec, X * (Y * Y + X), 10)
-    assert probe.dimension == 55
-    assert probe.dimension_by_degree == [k * (k + 1) // 2 for k in range(11)]
+    probe = submodule_closure_probe(spec, X * (Y * Y + X), degree_cap)
+    assert probe.dimension == dimension
+    assert probe.dimension_by_degree == [k * (k + 1) // 2 for k in range(degree_cap + 1)]
     assert all(a >= 1 for p in probe.basis for a, _ in Poly.from_json(p).terms)
 
 
@@ -632,6 +670,14 @@ def test_closure_report_does_not_depend_on_visiting_order(s, degree_cap):
     assert probe == submodule_closure_probe(spec, rescaled, degree_cap)
 
 
+def proportional(p, q):
+    """``p`` is a nonzero scalar times ``q``."""
+    if p.terms.keys() != q.terms.keys():
+        return False
+    mono = next(iter(p.terms), None)
+    return mono is None or p.scale(q.terms[mono]) == q.scale(p.terms[mono])
+
+
 def test_closure_acts_only_where_the_index_polynomial_needs_it():
     # lam^-m g_m v is a polynomial in m with deg_Y v + 1 coefficients
     # (deg_Y v + 2 for L), and the probe computes only those: per queued
@@ -665,16 +711,19 @@ def test_closure_acts_only_where_the_index_polynomial_needs_it():
             acted, events[:] = list(events), []
             assert probe == reference_closure(spec, seed, reference_index(10), 10)
             reference_calls, events[:] = len(events), []
-        queued = [event for event in acted if isinstance(event, Poly)]
+        queued = [event for event in acted if isinstance(event, Numerators)]
         assert len(queued) == probe.dimension
         probe_calls = len(acted) - len(queued)
         assert 0 < probe_calls <= 0.1 * reference_calls, (spec, probe_calls, reference_calls)
         for event in acted:
-            if isinstance(event, Poly):
-                v, counts = event, {}
-                allowed = [omega._taylor(v, j) for j in range(v.y_degree() + 2)] + [v]
+            if isinstance(event, Numerators):
+                v, counts = as_poly(event.terms), {}
+                taylor = [omega._taylor(event, j) for j in range(v.y_degree() + 2)]
+                allowed = [as_poly(d_j.terms) for d_j in taylor] + [v]
                 continue
             g, f = event
+            f = as_poly(f.terms)
             counts[g.family] = counts.get(g.family, 0) + 1
-            assert g.index == 0 and f in allowed, (v, g, f)
+            # The probe brings L's inputs to a common denominator with delta's.
+            assert g.index == 0 and any(proportional(f, p) for p in allowed), (v, g, f)
             assert counts[g.family] <= v.y_degree() + 2, (v, g)
