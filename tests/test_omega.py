@@ -50,15 +50,6 @@ def delta_only(lam=sc(2), delta=X):
     return OmegaSpec(variant="delta_only", lam=lam, delta=delta)
 
 
-def numerators(p):
-    """``p`` as Gaussian-integer numerators over its common denominator."""
-    common = lcm(*(c.d for c in p.terms.values()))
-    return common, Numerators({
-        mono: (c.a * (common // c.d), c.b * (common // c.d))
-        for mono, c in p.terms.items()
-    })
-
-
 def as_poly(terms, denominator=1):
     """The polynomial with the numerators ``terms`` over ``denominator``."""
     return Poly({
@@ -72,7 +63,11 @@ def act_on_poly(action, g, f):
     """``CachedAction.act`` on a polynomial: ``f`` goes in as numerators over
     its common denominator c, and the image comes back over c times the
     denominator of g's images."""
-    common, f_numerators = numerators(f)
+    common = lcm(*(c.d for c in f.terms.values()))
+    f_numerators = Numerators({
+        mono: (c.a * (common // c.d), c.b * (common // c.d))
+        for mono, c in f.terms.items()
+    })
     images = action._images(g)
     denominator = common * (1 if images is None else images.denominator)
     return as_poly(action.act(g, f_numerators), denominator)
