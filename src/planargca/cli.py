@@ -24,7 +24,12 @@ from typing import Any, Callable, List, Optional
 
 from .algebra import parse_gen, verify_structure
 from .linalg import determinant
-from .omega import OmegaSpec, submodule_closure_probe, verify_omega_axioms
+from .omega import (
+    OmegaSpec,
+    check_proper_ideal,
+    submodule_closure_probe,
+    verify_omega_axioms,
+)
 from .poly import Poly
 from .sampling import random_block_vector, random_poly
 from .scalars import ZERO, parse_scalar
@@ -326,7 +331,13 @@ def _run_verify_omega(config: dict, rng: random.Random) -> List[dict]:
         checks.append(
             {
                 "id": f"closure-seed-{i}",
-                "ok": expect is None or probe.contains_one == expect,
+                # "false" passes only with an ideal other than (1) that
+                # re-checks by omega_act.
+                "ok": expect is None or (
+                    probe.contains_one if expect else check_proper_ideal(
+                        spec, seed_poly, [Poly.from_json(g) for g in probe.ideal]
+                    )
+                ),
                 "seed": seed_poly.to_json(),
                 "dimension": probe.dimension,
                 "contains_one": probe.contains_one,

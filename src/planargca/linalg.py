@@ -3,19 +3,13 @@
 All elimination but the determinant's runs through one kernel,
 ``SparseEchelon``: an incrementally maintained reduced row echelon form
 over sparse rows whose columns are mutually comparable keys (integers in
-the search, the dense solvers and the closure probe).  It backs the
-orbit-closure probes and the singular-vector search, where rows arrive one
-at a time and most reduce to zero.  Because stored rows stay fully reduced
-against each other, reducing a new row is a single pass over its own pivot
-columns.
+the search and the dense solvers).  It backs the singular-vector search,
+where rows arrive one at a time and most reduce to zero.  Because stored
+rows stay fully reduced against each other, reducing a new row is a single
+pass over its own pivot columns.
 A stored row's smallest column is its pivot, so a new pivot can occur
 only in stored rows whose pivot lies below it: back-substitution visits
 that prefix of the sorted pivot columns and no other row.
-``FractionFreeEchelon`` is the same kernel over the Gaussian integers for
-the closure probe: it replaces only the arithmetic (``reduce``, the
-normalization of a new row and the back-substitution step), with
-fraction-free elimination (Bareiss 1968), and shares ``insert``'s pivot
-bookkeeping.
 
 Dense matrices are tuples of tuples of scalars, and stay tiny (well under
 50 rows).  ``matrix_solve``, ``matrix_nullspace`` and ``matrix_inverse``
@@ -28,7 +22,6 @@ stands independent of ``matrix_nullspace``.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar, scalar_from_ints
@@ -41,7 +34,6 @@ __all__ = [
     "determinant",
     "matrix_inverse",
     "SparseEchelon",
-    "FractionFreeEchelon",
 ]
 
 
@@ -213,8 +205,7 @@ class SparseEchelon:
     Rows are dicts mapping columns to nonzero scalars.  A column is any
     hashable key, and all the columns of one echelon must be mutually
     comparable: "smallest" below is their natural order (integers, or
-    tuples).  Only
-    ``kernel_vector_at_first_free_column`` needs the integer columns
+    tuples).  Only ``kernel_vector_at_first_free_column`` needs the integer columns
     0..ncols-1.  ``pivots`` maps each pivot column to its stored row.
 
     The invariant: every stored row has a 1 at its pivot, which is its
@@ -257,26 +248,17 @@ class SparseEchelon:
         if not remainder:
             return False
         lead = min(remainder)
-        normalized = self._normalize(remainder, lead)
+        inv = remainder[lead].inverse()
+        normalized = {col: coeff * inv for col, coeff in remainder.items()}
         pivots, order = self.pivots, self._order
         for col in order[: bisect_left(order, lead)]:
             stored = pivots[col]
-            if lead in stored:
-                self._eliminate(stored, lead, normalized)
+            coeff = stored.get(lead)
+            if coeff:
+                _subtract(stored, coeff, normalized)
         insort(order, lead)
         pivots[lead] = normalized
         return True
-
-    @staticmethod
-    def _normalize(remainder: Dict[int, Scalar], lead: int) -> Dict[int, Scalar]:
-        """The remainder scaled to a 1 at its pivot ``lead``."""
-        inv = remainder[lead].inverse()
-        return {col: coeff * inv for col, coeff in remainder.items()}
-
-    @staticmethod
-    def _eliminate(stored: Dict[int, Scalar], lead: int, row: Dict[int, Scalar]) -> None:
-        """Clear column ``lead`` of a stored row with the new pivot row."""
-        _subtract(stored, stored[lead], row)
 
     def contains(self, row: Dict[int, Scalar]) -> bool:
         return not self.reduce(row)
@@ -310,87 +292,3 @@ class SparseEchelon:
 
     def rows_sorted(self) -> List[Dict[int, Scalar]]:
         return [self.pivots[col] for col in sorted(self.pivots)]
-
-
-def _cross_subtract(work: Dict[int, tuple], row: Dict[int, Scalar], lead: int) -> None:
-    """``work <- P * work - x * row`` in place, for x = work[lead] and the
-    positive integer P = row[lead], dropping entries that cancel.
-
-    ``work`` maps columns to Gaussian integers ``(re, im)`` and ``row`` is a
-    stored row of integer scalars, so column ``lead`` cancels exactly and
-    nothing is divided.  The scaling pass is skipped when P = 1.
-    """
-    xa, xb = work[lead]
-    scale = row[lead].a
-    if scale != 1:
-        for col, (re, im) in work.items():
-            work[col] = (scale * re, scale * im)
-    for col, coeff in row.items():
-        ra, rb = coeff.a, coeff.b
-        pa, pb = xa * ra - xb * rb, xa * rb + xb * ra
-        old = work.get(col)
-        if old is None:
-            work[col] = (-pa, -pb)
-            continue
-        a, b = old[0] - pa, old[1] - pb
-        if a or b:
-            work[col] = (a, b)
-        else:
-            del work[col]
-
-
-def _primitive(work: Dict[int, tuple]) -> Dict[int, Scalar]:
-    """The row divided by the gcd of all its parts, as integer scalars."""
-    content = gcd(*(part for entry in work.values() for part in entry))
-    return {
-        col: scalar_from_ints(re // content, im // content, 1)
-        for col, (re, im) in work.items()
-    }
-
-
-class FractionFreeEchelon(SparseEchelon):
-    """``SparseEchelon`` over the Gaussian integers, without fractions.
-
-    Rows are dicts mapping columns to Gaussian integers ``(re, im)``; zero
-    entries are allowed and dropped.  Elimination is fraction-free (Bareiss
-    1968): a stored row is multiplied by the conjugate of its pivot entry,
-    so the pivot P is a positive integer, and divided by the gcd of all its
-    parts.  A row is reduced by ``target <- P * target - x * row`` for x its
-    entry at the pivot column, and back-substitution does the same to the
-    stored rows, with a content division after each step.  The stored rows
-    are primitive integer scalars, 0 at every other pivot, and each divided
-    by its pivot entry is ``SparseEchelon``'s stored row for the same span.
-
-    Only the arithmetic differs: ``insert`` and ``contains`` are
-    ``SparseEchelon``'s, so the pivot bookkeeping is shared.  ``reduce``
-    returns a remainder of ``(re, im)`` pairs up to a nonzero scale.  The
-    kernel-vector methods read rows with a 1 at the pivot, so they hold for
-    ``SparseEchelon`` alone.
-    """
-
-    def reduce(self, row: Dict[int, tuple]) -> Dict[int, tuple]:
-        work = {col: entry for col, entry in row.items() if entry[0] or entry[1]}
-        pivots = self.pivots
-        for lead in [col for col in work if col in pivots]:
-            stored = pivots[lead]
-            if len(stored) == 1:
-                # A primitive row with one entry is the unit vector at lead.
-                del work[lead]
-            else:
-                _cross_subtract(work, stored, lead)
-        return work
-
-    @staticmethod
-    def _normalize(remainder: Dict[int, tuple], lead: int) -> Dict[int, Scalar]:
-        p, q = remainder[lead]
-        return _primitive(
-            {col: (re * p + im * q, im * p - re * q) for col, (re, im) in remainder.items()}
-        )
-
-    @staticmethod
-    def _eliminate(stored: Dict[int, Scalar], lead: int, row: Dict[int, Scalar]) -> None:
-        work = {col: (coeff.a, coeff.b) for col, coeff in stored.items()}
-        _cross_subtract(work, row, lead)
-        reduced = _primitive(work)
-        stored.clear()
-        stored.update(reduced)

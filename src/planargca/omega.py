@@ -28,41 +28,33 @@ denominator, and one kernel, ``_GeneratorImages.apply``, merges them.  The
 closure probe acts through ``CachedAction.act``, which takes and returns
 numerators; ``verify_omega_axioms`` calls the kernel directly and adds both
 sides of each axiom, cross-multiplied, into one sum of numerators that must
-vanish.  Neither builds a ``Poly`` or a ``Scalar`` inside its loop.
+vanish, with no ``Poly`` or ``Scalar`` inside its loop.
 
-``submodule_closure_probe`` computes a least fixed point: the smallest
-subspace W that contains the seed and holds g_m w for every generator, every
-index m in Z and every w in W whose image stays within the degree cap.  W
-does not depend on the order of visits.  No index bound enters: lam^(-m)
-g_m w is a polynomial in m, and by Taylor's formula in Y its coefficients
-are H_0, sigma_0 or L_0 applied to D_j w = ∂_Y^j w / j!, less delta
-D_(j-1) w for L.  W holds every g_m w exactly when it holds those
-coefficients, so the probe acts with them alone.  It spins the seed
-MeatAxe style until no queued remainder is left, with no column table and
-no early stop.  Only the span matters, so every vector from the seed to
-the report is Gaussian-integer ``Numerators`` with no denominator, held in
-a fraction-free ``FractionFreeEchelon``.  X^a Y^b is the echelon column
-a - (d+1)(d+2)/2 with d = a + b, an integer whose order is descending
-total degree, then ascending X-degree, so each stored remainder's pivot is
-its top monomial and the remainders of degree at most k span W ∩ P≤k.
-1 in W proves that the seed generates the whole module, at
-every index and every degree: W lies in U(g) seed, and H_0 and L_0 act as
-multiplication by X and by Y.  1 outside W is only evidence of a proper
-submodule, never a proof, since the module is infinite dimensional.  The
-report gives dim W, dim W ∩ P≤k for every k up to the cap, and the
-reduced echelon basis of W.
+``submodule_closure_probe`` computes U(g) seed, the submodule that a seed
+generates.  H_0 and L_0 act as multiplication by X and by Y, so it is an
+ideal of C[X, Y], and the probe finds its reduced Gröbner basis with the
+bivariate engine in ``ideal``: it reduces the images of the basis under
+finitely many index-free operators, the Taylor coefficients in m of
+lam^(-m) g_m, and completes the basis by Buchberger's algorithm until
+every image reduces to 0.  No index bound and no degree cap enter: the
+cap only sets how far ``dimension_by_degree`` reads.  1 in the ideal
+proves that the seed generates the whole module, and 1 outside it proves
+a proper submodule, at every index and every degree; the reduced basis is
+the certificate, and ``check_proper_ideal`` re-checks it through
+``omega_act`` alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, isqrt, lcm
-from typing import Deque, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from itertools import count
+from math import comb, lcm
+from typing import Dict, List, Optional, Tuple
 
+from . import ideal
 from .algebra import Generator, bracket_basis, generators_up_to
-from .linalg import FractionFreeEchelon
 from .poly import P_ZERO, Poly
 from .scalars import Scalar, scalar_from_ints, scalar_pow
 
@@ -76,6 +68,7 @@ __all__ = [
     "verify_omega_axioms",
     "ClosureReport",
     "submodule_closure_probe",
+    "check_proper_ideal",
 ]
 
 # Per variant, the family sigma acts through and the X-shift dx of its
@@ -187,11 +180,8 @@ def _times_linear(image: _IntImage, step: Tuple[int, int], shift: int) -> _IntIm
     out = {(a + da, b + db): parts for (a, b), parts in image.items()}
     if shift:
         for mono, (re, im) in image.items():
-            old = out.get(mono)
-            if old is None:
-                out[mono] = (shift * re, shift * im)
-                continue
-            re, im = old[0] + shift * re, old[1] + shift * im
+            old_re, old_im = out.get(mono, (0, 0))
+            re, im = old_re + shift * re, old_im + shift * im
             if re or im:
                 out[mono] = (re, im)
             else:
@@ -221,25 +211,14 @@ class _GeneratorImages:
     def image(self, mono: Tuple[int, int]) -> _IntImage:
         """Numerators of the image of X^a Y^b, built up from the nearest
         cached image along X^a Y^b <- X^a Y^(b-1) <- ... <- X^a <- ... <- 1."""
-        images = self.images
-        image = images.get(mono)
-        if image is not None:
-            return image
-        missing = []
-        a, b = mono
-        while (a, b) not in images:
-            missing.append((a, b))
+        image = self.images.get(mono)
+        if image is None:
+            a, b = mono
             if b:
-                b -= 1
+                image = _times_linear(self.image((a, b - 1)), (0, 1), self.dy)
             else:
-                a -= 1
-        image = images[(a, b)]
-        for a, b in reversed(missing):
-            if b:
-                image = _times_linear(image, (0, 1), self.dy)
-            else:
-                image = _times_linear(image, (1, 0), self.dx)
-            images[(a, b)] = image
+                image = _times_linear(self.image((a - 1, b)), (1, 0), self.dx)
+            self.images[mono] = image
         return image
 
     def apply(
@@ -271,7 +250,8 @@ class Numerators:
 
     ``terms`` maps the exponents ``(a, b)`` of X^a Y^b to the numerators
     ``(p, q)`` of its coefficient (p + q i) / c, over one common
-    denominator c that is not kept: the closure probe needs only spans.
+    denominator c that is not kept: the closure probe needs only ideals,
+    which do not see the scale of their elements.
     """
 
     __slots__ = ("terms",)
@@ -294,8 +274,8 @@ class CachedAction:
     new image costs one pass of integer additions over a cached one.
     ``_GeneratorImages.apply`` is the one kernel that merges images in
     integers.  ``act``, the closure probe's action, hands it the input's
-    numerators and returns its numerators; the axiom sweep calls it
-    directly.  Neither builds a ``Poly`` or a ``Scalar``.
+    numerators and returns its numerators, with no ``Poly`` or
+    ``Scalar``; the axiom sweep calls it directly.
     """
 
     def __init__(self, spec: OmegaSpec):
@@ -407,171 +387,179 @@ class ClosureReport:
     contains_one: bool
     dimension_by_degree: List[int]
     degree_cap: int
-    basis: List[list]
+    ideal: List[list]
 
 
 def _taylor(v: Numerators, j: int) -> Numerators:
     """D_j v = ∂_Y^j v / j!, the coefficient of t^j in v(X, Y+t)."""
-    out = {}
-    for (a, b), (p, q) in v.terms.items():
-        if b >= j:
-            c = comb(b, j)
-            out[(a, b - j)] = (p * c, q * c)
-    return Numerators(out)
+    return Numerators({
+        (a, b - j): (p * comb(b, j), q * comb(b, j))
+        for (a, b), (p, q) in v.terms.items() if b >= j
+    })
 
 
-def _scaled(v: Numerators, c: int) -> Numerators:
-    if c == 1:
-        return v
-    return Numerators({mono: (p * c, q * c) for mono, (p, q) in v.terms.items()})
+def _numerators(terms: Dict[Tuple[int, int], Scalar]) -> Numerators:
+    """The Gaussian-integer numerators of a polynomial's ``terms`` over
+    their common denominator."""
+    common = lcm(*(c.d for c in terms.values()))
+    return Numerators({
+        mono: (c.a * (common // c.d), c.b * (common // c.d)) for mono, c in terms.items()
+    })
 
 
-def _monomial(col: int) -> Tuple[int, int]:
-    """The exponents (a, b) of the probe's column a - (d+1)(d+2)/2, d = a + b.
-
-    The columns of degree d are -T(d+1) .. -T(d+1) + d with T(n) = n(n+1)/2,
-    so d is the largest n with T(n) < -col.
+def _coefficients(
+    action: CachedAction, g: Generator, taylor: List[Numerators], minus_delta: _GeneratorImages
+) -> List[Dict[Tuple[int, int], List[int]]]:
+    """C_(g,j) v for j = 0..t + 1 and the index-0 generator g of one
+    family, given ``taylor`` = [D_0 v, ..., D_t v] with t = deg_Y v:
+    g_0(D_j v), with D_(t+1) v = 0, and for L plus c (-delta) D_(j-1) v,
+    with c the denominator of ``minus_delta`` (see
+    ``submodule_closure_probe``).  Only L has a nonzero last coefficient.
     """
-    d = (isqrt(-8 * col - 7) - 1) // 2
-    a = col + (d + 1) * (d + 2) // 2
-    return a, d - a
+    images = [action.act(g, d_j) for d_j in taylor] + [{}]
+    if g.family == "L":
+        for image, lower in zip(images[1:], taylor):
+            minus_delta.apply(lower.terms, image)
+    return images
+
+
+_ONE = [{(0, 0): Scalar(1)}]
 
 
 def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> ClosureReport:
-    """The least subspace W that contains the seed and satisfies
+    """U(g) seed, the submodule that the seed generates, as an ideal.
 
-        g_m(W ∩ P≤(cap - rise(g_m))) ⊆ W   for every generator g and every m in Z,
+    The report gives ``ideal``, the reduced Gröbner basis of U(g) seed in
+    grevlex (``ideal.reduced_basis``), each element over its leading
+    coefficient, as ``Poly`` JSON; ``contains_one``, whether it is (1);
+    ``dimension_by_degree``, dim(U(g) seed ∩ P≤k) for k = 0..cap, read
+    off the leading monomials; and ``dimension``, its last entry.  All of
+    them are properties of U(g) seed: the degree cap sets only how far
+    ``dimension_by_degree`` reads, and bounds no work.
 
-    where P≤k is the space of polynomials of total degree at most k and
-    rise is ``degree_raise``: every g_m acts on every vector of W whose
-    image stays within the degree cap, at every index.  W is a least fixed
-    point, so it depends only on the spec, the span of the seed and the
-    cap, never on the order in which generators or vectors are visited.
-    The seed is kept even when it lies above the cap; it then acts on
-    nothing and W is its span.
+    **It is an ideal.**  H_0 and L_0 act as multiplication by X and by Y
+    (lam^0 = 1), so U(g) seed is closed under multiplication by C[X, Y].
 
-    The report gives dim W, whether the constant polynomial 1 lies in W,
-    ``dimension_by_degree`` (dim W ∩ P≤k for k = 0..cap) and ``basis``,
-    the reduced echelon basis of W, row by row in column order.
-
-    The probe spins the seed (MeatAxe style): it inserts the seed into a
-    ``FractionFreeEchelon`` and queues a copy of each remainder that the
-    echelon stores, then acts on each queued remainder and inserts the
-    images.  Only the span matters, so every vector is ``Numerators``,
-    Gaussian integers with no denominator: D_j v uses the integers
-    comb(b, j), ``CachedAction.act`` returns integer images, and the two
-    sides of L's coefficient below are brought over one common
-    denominator, so that it is their exact difference.  X^a Y^b is column
-    a - (d+1)(d+2)/2 with d = a + b, and the echelon orders columns as
-    integers: descending total degree, then ascending X-degree, so each
-    remainder's pivot is its top monomial.
-    Every remainder is 0 at the pivots stored before it, so in a nonzero
-    combination of remainders the earliest one of the highest degree keeps
-    its pivot's coefficient: the combination has that degree, and the
-    remainders of degree at most k span W ∩ P≤k.  So W is closed exactly
-    when every g_m has acted on every remainder whose degree its rise
-    allows, which is what the queue does.
-    Copies are queued because back-substitution later changes the stored
-    rows in place.  The probe runs until the queue is empty.
-
-    No index bound is needed, because each family acts through finitely
-    many operators.  By ``action_factors`` and Taylor's formula in Y,
-    with D_j = ∂_Y^j / j!,
+    **Generators suffice.**  Each g_m acts as a multiplier M times the ring
+    automorphism tau: f -> f(X+dx, Y-m), so g_m(h p) = tau(h) g_m(p), and
+    an ideal (G) is invariant exactly when g_m G_i lies in (G) for every
+    i, generator family and m in Z.  No index bound is needed: by
+    ``action_factors`` and Taylor's formula in Y, with D_j = ∂_Y^j / j!,
 
         lam^(-m) g_m v = M_g(m) * v(X+dx, Y-m)
                        = M_g(m) * sum_j (-m)^j (D_j v)(X+dx, Y),
 
-    where the multiplier M_g(m) is X for H, sigma(X) for the sigma family
-    and Y + m delta(X) for L.  This is a polynomial in m whose coefficient
-    of m^j is, up to the sign (-1)^j,
+    where M_g(m) is X for H, sigma(X) for the sigma family and
+    Y + m delta(X) for L.  This is a polynomial in m whose coefficient of
+    m^j is, up to the sign (-1)^j,
 
-        H:       H_0(D_j v)                    for j = 0..deg_Y v,
-        sigma:   sigma_0(D_j v)                for j = 0..deg_Y v,
-        L:       L_0(D_j v) - delta D_(j-1) v  for j = 0..deg_Y v + 1,
+        H:       C_(H,j) v = H_0(D_j v)                    for j = 0..deg_Y v,
+        sigma:   C_(s,j) v = sigma_0(D_j v)                for j = 0..deg_Y v,
+        L:       C_(L,j) v = L_0(D_j v) - delta D_(j-1) v  for j = 0..deg_Y v + 1,
 
     with D_(-1) v = D_(deg_Y v + 1) v = 0.  A polynomial in m takes its
-    values in W at every m in Z exactly when its coefficients lie in W:
-    with n coefficients, they are combinations of the values at any n
-    distinct indices (the Vandermonde matrix is invertible).  So the probe
-    inserts the coefficients, at most deg_Y v + 2 ``CachedAction.act``
-    calls per family for each queued remainder v.  The rise of g_m is the same for
-    every m != 0 and at least that of g_0, and the coefficients are
-    combinations of images g_m v, so they stay within the cap whenever
-    those do.  Only L can fit at m = 0 alone: L_0 v = Y v rises by 1 and
-    L_m v by deg delta when that is 2 or more.  Such a v gets L_0 v alone.
+    values in (G) at every m in Z exactly when its coefficients lie in (G):
+    with n coefficients they are combinations of the values at any n
+    distinct indices (the Vandermonde matrix is invertible).  So (G) is
+    invariant exactly when every C_(g,j) G_i lies in (G).
 
-    ``contains_one`` true proves that the seed generates the whole module,
-    at every index and every degree: W lies in U(g) seed, and H_0 and L_0
-    act as multiplication by X and by Y, so 1 in U(g) seed gives every
-    X^a Y^b.  False is only evidence of a proper submodule, never a proof,
-    since the module is infinite dimensional and W sees only P≤cap.
-    ``basis`` divides each stored row by its pivot, a positive integer;
-    it is the only place the probe builds a ``Scalar``.
+    **The scale of L's delta side does not matter.**  The probe adds
+    c (-delta) D_(j-1) v, with c > 0 the denominator of -delta, to the
+    integer image L_0(D_j v), so that the sum is in integers.  Let v lie
+    in an ideal I together with every C_(H,j) v = X D_j v.  Then for any
+    nonzero c, every Y D_j v - c delta D_(j-1) v lies in I exactly when
+    every C_(L,j) v does.  Write delta = delta_0 + X delta_1(X); since
+    X D_(j-1) v is in I, both conditions read Y D_j v - c delta_0 D_(j-1) v
+    in I for every j (with c = 1 for C_(L,j)).  If delta_0 = 0 that is
+    Y D_j v in I for every j, free of c.  Otherwise j = deg_Y v + 1 gives
+    D_(deg_Y v) v in I, and then each lower j, with Y D_j v in I, gives
+    D_(j-1) v in I: the condition is that every D_j v lies in I, again
+    free of c.  So the scaled images of the generators lie in (G) exactly
+    when the true ones do, and the images of any v in U(g) seed lie in
+    U(g) seed at every scale.
+
+    **The algorithm.**  G starts as {seed}.  Each element that enters G
+    queues its images C_(g,j), through ``CachedAction.act``; one queued
+    image at a time, lowest total degree first, is reduced modulo G, and a
+    nonzero remainder enters G, which Buchberger's algorithm then completes
+    to the reduced Gröbner basis (``ideal.extend``).  The loop stops when
+    the queue is empty, or when G = {1}.  The ideals form an ascending
+    chain, so it stops (Hilbert's basis theorem).  The seed and the
+    remainders generate (G), and each of their images reduces to 0 modulo
+    the final G, so (G) is invariant; every element added lies in U(g)
+    seed, so (G) = U(g) seed.  Taking one image at a time, lowest degree
+    first, keeps the intermediate bases small.
+
+    ``contains_one`` is exact both ways: true proves that the seed
+    generates the whole module, and false proves a proper submodule, at
+    every index and every degree; G is the certificate, which
+    ``check_proper_ideal`` re-checks with ``omega_act``.
     """
     if not seed:
         raise ValueError("seed must be nonzero")
-    # Each family that acts, by its index-0 generator, with the rise of g_0
-    # and the rise of g_m for every m != 0.
     families = [
-        (Generator(fam, 0), rise_0, degree_raise(spec, Generator(fam, 1)))
-        for fam in "JIHL"
-        if (rise_0 := degree_raise(spec, Generator(fam, 0))) is not None
+        Generator(fam, 0) for fam in "JIHL"
+        if action_factors(spec, Generator(fam, 0)) is not None
     ]
-
-    basis = FractionFreeEchelon()
     action = CachedAction(spec)
-    queue: Deque[Numerators] = deque()
-    # L's coefficients are L_0(D_j v) + (-delta) D_(j-1) v.  L_0 multiplies
-    # by Y, so its images have denominator 1; scaling D_j v by -delta's
-    # denominator brings both sides over that one.
     minus_delta = _GeneratorImages(-spec.l_delta, 0, 0)
-    no_terms = Numerators({})
+    queue: List[Tuple[int, int, Dict[Tuple[int, int], Scalar]]] = []
+    queued = count()
 
-    def spin(image: Dict[Tuple[int, int], List[int]]) -> None:
-        # X^a Y^b is column a - (d+1)(d+2)/2 with d = a + b.
-        row = {a - (a + b + 1) * (a + b + 2) // 2: entry for (a, b), entry in image.items()}
-        if basis.insert(row):
-            # The new row is stored last; copy it before back-substitution.
-            stored = basis.pivots[next(reversed(basis.pivots))]
-            queue.append(Numerators({_monomial(col): (c.a, c.b) for col, c in stored.items()}))
+    def enter(r: Dict[Tuple[int, int], Scalar]) -> None:
+        v = _numerators(r)
+        taylor = [v] + [_taylor(v, j) for j in range(1, max(b for _, b in r) + 1)]
+        for g in families:
+            for image in _coefficients(action, g, taylor, minus_delta):
+                image = {
+                    mono: scalar_from_ints(re, im, 1)
+                    for mono, (re, im) in image.items() if re or im
+                }
+                if image:
+                    heappush(queue, (max(map(sum, image)), next(queued), image))
 
-    common = lcm(*(c.d for c in seed.terms.values()))
-    spin({
-        mono: (c.a * (common // c.d), c.b * (common // c.d))
-        for mono, c in seed.terms.items()
-    })
-    while queue:
-        v = queue.popleft()
-        degree = max(a + b for a, b in v.terms)
-        taylor = [v] + [_taylor(v, j) for j in range(1, max(b for _, b in v.terms) + 1)]
-        for g, rise_0, rise in families:
-            if degree + rise > degree_cap:
-                # Only L_0 can still fit (L with deg delta >= 2).
-                if degree + rise_0 <= degree_cap:
-                    spin(action.act(g, v))
-            elif g.family != "L":
-                for d_j in taylor:
-                    spin(action.act(g, d_j))
-            else:
-                # j = 0..deg_Y v + 1, pairing D_j v with D_(j-1) v.
-                for lower, d_j in zip([no_terms] + taylor, taylor + [no_terms]):
-                    image = action.act(g, _scaled(d_j, minus_delta.denominator))
-                    spin(minus_delta.apply(lower.terms, image))
+    basis = [ideal.normal_form(seed.terms, [])]
+    enter(basis[0])
+    while queue and basis != _ONE:
+        r = ideal.normal_form(heappop(queue)[2], basis)
+        if r:
+            basis = ideal.extend(basis, r)
+            enter(r)
 
+    by_degree = ideal.dimension_by_degree(basis, degree_cap)
     return ClosureReport(
-        dimension=basis.dimension,
-        contains_one=basis.contains({-1: (1, 0)}),  # 1 = X^0 Y^0 is column -1
-        dimension_by_degree=[
-            sum(sum(_monomial(col)) <= k for col in basis.pivots)
-            for k in range(degree_cap + 1)
-        ],
+        dimension=by_degree[-1],
+        contains_one=basis == _ONE,
+        dimension_by_degree=by_degree,
         degree_cap=degree_cap,
-        # Each row over its pivot, a positive integer: the reduced basis.
-        basis=[
-            Poly({
-                _monomial(col): scalar_from_ints(c.a, c.b, row[min(row)].a)
-                for col, c in row.items()
-            }).to_json()
-            for row in basis.rows_sorted()
-        ],
+        ideal=[Poly(g).to_json() for g in basis],
+    )
+
+
+def check_proper_ideal(spec: OmegaSpec, seed: Poly, generators: List[Poly]) -> bool:
+    """Whether ``generators`` certify that the seed generates a proper
+    submodule, by ``omega_act`` and reduction alone.
+
+    True when the generators are a Gröbner basis (every S-polynomial
+    reduces to 0), none of them is a constant, the seed reduces to 0, and
+    g_m G_i reduces to 0 for every family and every m = -k..k.  Then 1 is
+    not in (G), and (G) is an invariant ideal that holds the seed.  With
+    k = max(3, ceil((t + 1) / 2)) for t the largest deg_Y G_i, there are
+    2k + 1 >= t + 2 indices, at least as many as lam^(-m) g_m G_i, a
+    polynomial in m of degree at most t + 1, has coefficients; so its
+    coefficients, and its values at every m in Z, lie in (G).
+    """
+    basis = [ideal.normal_form(g.terms, []) for g in generators]
+    bound = max(3, (max((g.y_degree() for g in generators), default=0) + 2) // 2)
+    return (
+        bool(generators)
+        and all(g.total_degree() >= 1 for g in generators)
+        and ideal.is_groebner(basis)
+        and not ideal.normal_form(seed.terms, basis)
+        and not any(
+            ideal.normal_form(omega_act(spec, Generator(fam, m), g).terms, basis)
+            for g in generators
+            for fam in "LHIJ"
+            for m in range(-bound, bound + 1)
+        )
     )

@@ -158,6 +158,35 @@ def test_verify_omega_with_closure(tmp_path):
     assert any(c["id"] == "closure-seed-0" for c in report["checks"])
 
 
+def test_closure_expect_false_needs_a_certified_proper_ideal(tmp_path, monkeypatch):
+    # sigma = X: the seed X (Y^2 + X) generates (X), which passes the
+    # re-check by omega_act; X - 1 generates the whole module.  A
+    # "false" that the re-check does not confirm fails.
+    x_times = [{"xexp": 1, "yexp": 2, "coeff": "1"}, {"xexp": 2, "yexp": 0, "coeff": "1"}]
+    x_minus_one = [{"xexp": 0, "yexp": 0, "coeff": "-1"}, {"xexp": 1, "yexp": 0, "coeff": "1"}]
+    config = {
+        "spec": {"variant": "sigma_zero", "lambda": "2", "eta": "1/3",
+                 "sigma": [{"xexp": 1, "yexp": 0, "coeff": "1"}]},
+        "index_bound": 1,
+        "basis_cap": 1,
+        "closure": {
+            "degree_cap": 4,
+            "seeds": [x_times, x_minus_one],
+            "expect_contains_one": False,
+        },
+    }
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    checks = {c["id"]: c for c in report["checks"]}
+    assert code == 1
+    assert checks["closure-seed-0"]["ok"] and not checks["closure-seed-0"]["contains_one"]
+    assert not checks["closure-seed-1"]["ok"] and checks["closure-seed-1"]["contains_one"]
+    monkeypatch.setattr(cli, "check_proper_ideal", lambda spec, seed, ideal: False)
+    config["closure"]["seeds"] = [x_times]
+    code, report, _ = run(tmp_path, "verify-omega", config)
+    assert code == 1
+    assert not report["checks"][1]["ok"]
+
+
 def test_closure_index_bound_is_optional_and_changes_no_report(tmp_path):
     # The closure probe is index-free: closure.index_bound is still read
     # and checked (0 is refused above), but no report depends on it.

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planargca.linalg import (
-    FractionFreeEchelon,
     Matrix,
     SingularMatrix,
     SparseEchelon,
@@ -245,56 +244,6 @@ def test_sparse_echelon_columns_may_be_any_ordered_keys(data):
         assert by_key.contains(
             {keys[col]: entry for col, entry in enumerate(probe)}
         ) == by_int.contains(dict(enumerate(probe)))
-
-
-_gaussian_int = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
-
-
-def _combination(data, rows):
-    """a * r + b * s for two drawn rows r, s and Gaussian integers a, b."""
-    a, b = data.draw(_gaussian_int), data.draw(_gaussian_int)
-    r, s = (rows[data.draw(st.integers(0, len(rows) - 1))] for _ in range(2))
-    return [
-        tuple(p + q for p, q in zip(_mul(a, x), _mul(b, y))) for x, y in zip(r, s)
-    ]
-
-
-def _draw_gaussian_rows(data, nrows, ncols):
-    """Rows of Gaussian integers (re, im), zeros among them, some dependent."""
-    entry = st.one_of(st.just((0, 0)), _gaussian_int)
-    row = st.lists(entry, min_size=ncols, max_size=ncols)
-    rows = [data.draw(row) for _ in range(nrows)]
-    for _ in range(data.draw(st.integers(0, 2))):
-        rows.append(_combination(data, rows))
-    return rows
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_fraction_free_echelon_matches_sparse_echelon(data):
-    # The same rows, as Gaussian integers and as scalars: the same insert
-    # results, pivots and membership, and each primitive integer row over
-    # its positive integer pivot is the reduced row.
-    ncols = data.draw(st.integers(1, 8))
-    rows = _draw_gaussian_rows(data, data.draw(st.integers(1, 7)), ncols)
-
-    def scalars(row):
-        return {col: sc(re, im) for col, (re, im) in enumerate(row)}
-
-    integer, exact = FractionFreeEchelon(), SparseEchelon()
-    for row in rows:
-        assert integer.insert(dict(enumerate(row))) == exact.insert(scalars(row))
-        assert list(integer.pivots) == list(exact.pivots)
-    assert integer._order == sorted(integer.pivots)
-    for lead, row in integer.pivots.items():
-        pivot = row[lead]
-        assert (pivot.b, pivot.d) == (0, 1) and pivot.a > 0
-        assert all(coeff.d == 1 for coeff in row.values())
-        assert gcd(*(part for coeff in row.values() for part in (coeff.a, coeff.b))) == 1
-        assert {col: coeff / pivot for col, coeff in row.items()} == exact.pivots[lead]
-    probes = _draw_gaussian_rows(data, 2, ncols) + [_combination(data, rows)]
-    for probe in probes:
-        assert integer.contains(dict(enumerate(probe))) == exact.contains(scalars(probe))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

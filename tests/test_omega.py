@@ -1,8 +1,8 @@
 import dataclasses
 import random
-from collections import deque
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -24,10 +24,10 @@ from planargca.algebra import (
 from planargca.linalg import SparseEchelon
 from planargca.omega import (
     CachedAction,
-    ClosureReport,
     InvalidSpec,
     Numerators,
     OmegaSpec,
+    check_proper_ideal,
     degree_raise,
     omega_act,
     submodule_closure_probe,
@@ -389,19 +389,27 @@ def test_axiom_sweep_reports_a_broken_table():
         assert (report.pairs_checked, report.violations) == reference_axioms(spec, 2, 1)
 
 
-def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", descending=False):
-    """The closure by its definition, without the probe's shortcuts.
+class Reference(NamedTuple):
+    rows: list
+    dimension_by_degree: list
+    contains_one: bool
 
-    Each pass acts with every generator on every row of the current reduced
+
+def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", descending=False):
+    """The capped closure W by its definition, with no index-free operator,
+    no ideal and no Gröbner basis.
+
+    W is the least subspace that contains the seed and every g_m w, for
+    |m| <= ``index_bound``, of w in W whose degree is within the cap.  Each
+    pass acts with every generator on every row of the current reduced
     echelon basis, keeps the images whose degree, tested after acting, is
     within the cap, and inserts them; passes repeat until one inserts
-    nothing.  ``families`` and ``descending`` set the visiting order.
-    The columns are written out here rather than taken from the probe: they
-    run by descending total degree, so each row's pivot is a top-degree
-    monomial and the rows of degree at most k span W ∩ P≤k; ties go by
-    ascending X-degree, so the basis is the probe's reduced echelon basis.
-    dim(W ∩ P≤k) is read off independently of the column order, as dim W
-    minus the rank of W's components of degree above k.
+    nothing.  ``families`` and ``descending`` set the visiting order.  W
+    lies in U(g) seed at every bound and cap, and grows with the cap.
+    The columns run by descending total degree, so each row's pivot is a
+    top-degree monomial; dim(W ∩ P≤k) is read off independently of the
+    column order, as dim W minus the rank of W's components of degree
+    above k.
     """
     indices = range(-index_bound, index_bound + 1)
     generators = [
@@ -443,13 +451,54 @@ def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", desc
                 if sum(mono) > k
             })
         by_degree.append(len(rows) - above.dimension)
-    return ClosureReport(
-        dimension=basis.dimension,
-        contains_one=basis.contains(to_row(P_ONE)),
-        dimension_by_degree=by_degree,
-        degree_cap=degree_cap,
-        basis=[poly.to_json() for poly in rows],
-    )
+    return Reference(rows, by_degree, basis.contains(to_row(P_ONE)))
+
+
+def reference_index(degree_cap):
+    """An index bound at which ``reference_closure`` sees every index.
+
+    With B = ceil(cap / 2) there are 2B + 1 >= cap + 1 indices.  Every
+    vector that a generator may act on has deg_Y at most cap (at most
+    cap - 1 for L), and lam^(-m) g_m v is a polynomial in m of degree at
+    most deg_Y v (deg_Y v + 1 for L), so its images at |m| <= B span its
+    images at every m.
+    """
+    return -(-degree_cap // 2)
+
+
+def to_row(p):
+    return {(-a - b, a): coeff for (a, b), coeff in p.terms.items()}
+
+
+def generators_of(probe):
+    return [Poly.from_json(g) for g in probe.ideal]
+
+
+def multiples(generators, degree):
+    """An echelon of the span of every X^a Y^b G_i of degree at most
+    ``degree``: linear algebra only, no normal form.
+
+    The span lies in (G).  For a Gröbner basis G in a degree-compatible
+    order it is all of (G) ∩ P≤degree, since every element of (G) has a
+    standard representation sum q_i G_i with deg q_i G_i <= deg f.  So a
+    polynomial of degree at most ``degree`` lies in it exactly when it lies
+    in (G), and a G that is not a Gröbner basis shows up as a miss.
+    """
+    span = SparseEchelon()
+    for g in generators:
+        for d in range(degree - g.total_degree() + 1):
+            for a in range(d + 1):
+                span.insert(to_row(Poly.monomial(a, d - a) * g))
+    return span
+
+
+def draw_seed(data, spec, max_degree):
+    """A nonzero seed of degree up to ``max_degree``, in half the draws
+    times sigma (or X for ``delta_only``), so that proper ideals come up."""
+    seed = draw_poly(data, data.draw(st.integers(0, max_degree)), univariate=False) or Y
+    if data.draw(st.booleans()):
+        seed = (spec.sigma or X) * seed
+    return seed
 
 
 @pytest.mark.parametrize(
@@ -469,8 +518,9 @@ def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", desc
     ],
 )
 def test_closure_dimension_by_degree(spec, seed, dimension, dimension_by_degree, contains_one):
-    # The spans are P≤5, (X^2 + 1) * P≤3 and the polynomials of P≤5
-    # without constant term.
+    # The ideals are (1), (X^2 + 1) and (X, Y): their parts of degree at
+    # most 5 are P≤5, (X^2 + 1) * P≤3 and the polynomials of P≤5 without
+    # constant term.
     probe = submodule_closure_probe(spec, seed, 5)
     assert (probe.dimension, probe.dimension_by_degree, probe.contains_one) == (
         dimension, dimension_by_degree, contains_one
@@ -518,18 +568,21 @@ def test_closure_spans_all_of_p_cap_for_constant_sigma(degree_cap, dimension):
     "degree_cap, dimension", [(10, 55), (24, 300)], ids=["10", "24"]
 )
 def test_closure_spans_x_times_p_cap_minus_one_for_sigma_x(degree_cap, dimension):
-    # X * P≤(cap-1) meets P≤k in X * P≤(k-1), of dimension k (k + 1) / 2.
+    # The ideal is (X), and X * P≤(k-1) has dimension k (k + 1) / 2.
     spec = sigma_zero(eta=sc(1, 3), sigma=X)
     probe = submodule_closure_probe(spec, X * (Y * Y + X), degree_cap)
     assert probe.dimension == dimension
     assert probe.dimension_by_degree == [k * (k + 1) // 2 for k in range(degree_cap + 1)]
-    assert all(a >= 1 for p in probe.basis for a, _ in Poly.from_json(p).terms)
+    assert probe.ideal == [X.to_json()]
 
 
 def test_closure_of_a_seed_above_the_cap_is_its_span():
+    # The cap bounds only the report, not the work: the seed X^3 Y + Y
+    # generates (1), so every P≤k is in.  The capped probe this replaced
+    # could not act on a seed above its cap and reported [0, 0, 0, 0].
     probe = submodule_closure_probe(sigma_zero(), X * X * X * Y + Y, 3)
     assert (probe.dimension, probe.dimension_by_degree, probe.contains_one) == (
-        1, [0, 0, 0, 0], False
+        10, [1, 3, 6, 10], True
     )
 
 
@@ -545,124 +598,251 @@ def test_closure_report_shape():
         "contains_one",
         "dimension_by_degree",
         "degree_cap",
-        "basis",
+        "ideal",
     }
-    assert probe.dimension == len(probe.basis)
+    assert probe.dimension == probe.dimension_by_degree[-1]
     assert probe.dimension_by_degree == [1, 3, 6, 10, 15]
+    assert probe.ideal == [P_ONE.to_json()]
 
 
-def test_closure_basis_is_the_reduced_echelon_basis():
-    # The basis depends only on the span: re-inserting its rows in reverse
-    # order reproduces it, and it is in reduced echelon form with each
-    # row's pivot at one of its top-degree monomials.
-    # Columns are the probe's: X^a Y^b is (-(a+b), a), by descending total
-    # degree, then ascending X-degree.
-    probe = submodule_closure_probe(sigma_zero(sigma=X), X * (Y * Y + X), 5)
-    rows = [
-        {(-a - b, a): coeff for (a, b), coeff in Poly.from_json(poly).terms.items()}
-        for poly in probe.basis
+def grevlex_lead(p):
+    return max(p.terms, key=lambda mono: (sum(mono), mono[0]))
+
+
+def test_closure_ideal_is_the_reduced_groebner_basis():
+    # Monic, leading monomials ascending in grevlex, no term of an element
+    # divisible by another element's leading monomial, and a Gröbner
+    # basis: its multiples of degree at most k span a space whose dimension
+    # is the reported dim(I ∩ P≤k), which counts the monomials that some
+    # leading monomial divides.  Rescaling the seed changes nothing.
+    cases = [
+        (delta_only(delta=X), X * Y * Y + X * X),
+        (delta_only(lam=sc(1), delta=P_ONE + X), X * Y),
+        (sigma_zero(sigma=X - P_ONE), (X - P_ONE) * Y),
+        (zero_sigma(lam=sc(1, 1), sigma=X * X + X), (X * X + X) * (X + Y)),
+        (delta_only(delta=X * X), Y * Y + X),
     ]
-    echelon = SparseEchelon()
-    for row in reversed(rows):
-        echelon.insert(row)
-    again = [
-        Poly({(a, -d - a): coeff for (d, a), coeff in row.items()}).to_json()
-        for row in echelon.rows_sorted()
+    for spec, seed in cases:
+        probe = submodule_closure_probe(spec, seed, 6)
+        generators = generators_of(probe)
+        leads = [grevlex_lead(g) for g in generators]
+        assert leads == sorted(leads, key=lambda mono: (sum(mono), mono[0]))
+        for g, lead in zip(generators, leads):
+            assert g.terms[lead] == ONE
+            for mono in g.terms:
+                assert not any(
+                    other != lead and other[0] <= mono[0] and other[1] <= mono[1]
+                    for other in leads
+                ), (g, mono)
+        for k in range(7):
+            assert multiples(generators, k).dimension == probe.dimension_by_degree[k]
+            assert probe.dimension_by_degree[k] == sum(
+                any(lead[0] <= a and lead[1] <= d - a for lead in leads)
+                for d in range(k + 1) for a in range(d + 1)
+            )
+        assert submodule_closure_probe(spec, seed.scale(sc(-2, 3)), 6) == probe
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closure_is_closed_at_indices_beyond_every_bound(data):
+    # The definition of U(g) seed, at every degree and with no index
+    # bound: the seed lies in (G), and so does g_m G_i at random indices m
+    # in [-10, 10], with images
+    # from omega_act, not the probe's CachedAction, and membership by
+    # linear algebra over the multiples of G, not the engine's normal form.
+    spec = draw_spec(data)
+    seed = draw_seed(data, spec, 4)
+    probe = submodule_closure_probe(spec, seed, 4)
+    generators = generators_of(probe)
+    assert probe.contains_one == (generators == [P_ONE])
+    images = [seed] + [
+        omega_act(spec, Generator(family, m), g)
+        for g in generators
+        for family in "LHIJ"
+        for m in data.draw(st.lists(st.integers(-10, 10), min_size=1, max_size=3))
     ]
-    assert again == probe.basis
-    leads = [min(row) for row in rows]
-    assert leads == sorted(leads)
-    for lead, row in zip(leads, rows):
-        assert row[lead] == ONE
-        assert not any(other in row for other in leads if other != lead)
-        assert -lead[0] == max(-col[0] for col in row)
+    span = multiples(generators, max(f.total_degree() for f in images))
+    for f in images:
+        assert span.contains(to_row(f)), (spec, seed, generators, f)
 
 
-def reference_index(degree_cap):
-    """An index bound at which ``reference_closure`` defines the probe's W.
-
-    With B = ceil(cap / 2) there are 2B + 1 >= cap + 1 indices.  Every
-    vector that a generator may act on has deg_Y at most cap (at most
-    cap - 1 for L), and lam^(-m) g_m v is a polynomial in m of degree at
-    most deg_Y v (deg_Y v + 1 for L), so every remainder has enough
-    Lagrange nodes: its images at |m| <= B span its images at every m.
-    """
-    return -(-degree_cap // 2)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closure_ideal_lies_in_the_reference_closure(data):
+    # Minimality, by independent code: every G_i lies in the capped
+    # closure W of ``reference_closure`` at some cap up to 14, and W lies
+    # in U(g) seed.  So (G) ⊆ U(g) seed, and with the test above,
+    # (G) = U(g) seed.
+    spec = draw_spec(data)
+    seed = draw_seed(data, spec, 3)
+    generators = generators_of(submodule_closure_probe(spec, seed, 4))
+    lowest = max(2, seed.total_degree(), *(g.total_degree() for g in generators))
+    for cap in range(lowest, 15):
+        span = SparseEchelon()
+        for w in reference_closure(spec, seed, reference_index(cap), cap).rows:
+            span.insert(to_row(w))
+        if all(span.contains(to_row(g)) for g in generators):
+            return
+    pytest.fail(f"{generators} not in the capped closure of {seed} up to cap 14")
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_closure_matches_the_reference_that_acts_everywhere(data):
+def test_closure_contains_the_reference_that_acts_everywhere(data):
     # All three families, real and complex lambda, sigma or delta of
-    # degree 0-2 (deg delta = 2 gives L_0 a smaller rise than L_m), and
-    # seeds up to two degrees over the cap.
+    # degree 0-2, and seeds up to two degrees over the cap: the capped
+    # closure W lies in the ideal, so the ideal's dim(I ∩ P≤k) is at least
+    # W's at every k, and 1 in W puts 1 in the ideal.
     spec = draw_spec(data)
     degree_cap = data.draw(st.integers(2, 8))
     seed_degree = data.draw(st.integers(0, degree_cap + 2))
     seed = draw_poly(data, seed_degree, univariate=False) or Y
-    assert submodule_closure_probe(spec, seed, degree_cap) == (
-        reference_closure(spec, seed, reference_index(degree_cap), degree_cap)
-    )
-
-
-def to_row(p):
-    return {(-a - b, a): coeff for (a, b), coeff in p.terms.items()}
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_closure_is_closed_at_indices_beyond_every_bound(data):
-    # W is closed under g_m for every m, not only for the indices a bounded
-    # probe would visit: g_m w lies in W at |m| = cap + 1 and cap + 5 for
-    # every basis vector w whose image fits the cap.  The images come from
-    # omega_act, not from the probe's CachedAction.
-    spec = draw_spec(data)
-    degree_cap = data.draw(st.integers(2, 7))
-    seed = draw_poly(data, data.draw(st.integers(0, degree_cap)), univariate=False) or Y
     probe = submodule_closure_probe(spec, seed, degree_cap)
-    span = SparseEchelon()
-    basis = [Poly.from_json(poly) for poly in probe.basis]
-    for w in basis:
-        span.insert(to_row(w))
-    for w in basis:
-        for family in "LHIJ":
-            for m in (degree_cap + 1, degree_cap + 5):
-                for g in (Generator(family, m), Generator(family, -m)):
-                    image = omega_act(spec, g, w)
-                    if image.total_degree() <= degree_cap:
-                        assert span.contains(to_row(image)), (g, w)
+    reference = reference_closure(spec, seed, reference_index(degree_cap), degree_cap)
+    span = multiples(generators_of(probe), max(degree_cap, seed.total_degree()))
+    assert all(span.contains(to_row(w)) for w in reference.rows)
+    assert all(
+        w <= i for w, i in zip(reference.dimension_by_degree, probe.dimension_by_degree)
+    )
+    assert probe.contains_one or not reference.contains_one
+
+
+def drop_the_top_l_coefficient(action, g, taylor, minus_delta):
+    images = TRUE_COEFFICIENTS(action, g, taylor, minus_delta)
+    return images[:-1] if g.family == "L" else images
+
+
+TRUE_COEFFICIENTS = omega._coefficients
+TRUE_L_DELTA = OmegaSpec.l_delta.func
+
+
+def scaled_l_delta(scale):
+    return property(lambda spec: TRUE_L_DELTA(spec).scale(scale))
 
 
 def test_closure_needs_the_top_l_coefficient():
     # L's multiplier Y + m delta makes lam^(-m) L_m v one degree higher in
-    # m than deg_Y v; its top coefficient -delta D_(deg_Y v) v is the only
-    # image that reaches the sixth dimension here.  Without it the probe
-    # reports dimension 5.
+    # m than deg_Y v; its top coefficient is -delta D_(deg_Y v) v.  Here
+    # U(g) seed = (X), which the capped reference reaches too; without the
+    # top coefficient, or without the delta side at all, the probe stops
+    # at (XY, X^2).
     spec = delta_only(lam=sc(1), delta=P_ONE + X)
     seed = (X * Y).scale(sc(-2)) + (X * X).scale(sc(1, 3))
     probe = submodule_closure_probe(spec, seed, 3)
     assert (probe.dimension, probe.dimension_by_degree, probe.contains_one) == (
         6, [0, 1, 3, 6], False
     )
-    assert probe == reference_closure(spec, seed, reference_index(3), 3)
+    assert probe.ideal == [X.to_json()]
+    reference = reference_closure(spec, seed, reference_index(3), 3)
+    assert reference.dimension_by_degree == probe.dimension_by_degree
+    with mock.patch.object(omega, "_coefficients", drop_the_top_l_coefficient):
+        mutant = submodule_closure_probe(spec, seed, 3)
+    assert mutant.ideal == [(X * Y).to_json(), (X * X).to_json()]
+    with mock.patch.object(OmegaSpec, "l_delta", scaled_l_delta(sc(0))):
+        assert submodule_closure_probe(spec, seed, 3).ideal == mutant.ideal
+
+
+def test_closure_needs_the_sign_of_the_sigma_shift():
+    # I acts by sigma(X) f(X - 1, Y - m); with sigma = X - 1 the seed
+    # (X - 1) Y generates (X - 1).  With the shift flipped to X + 1 the
+    # probe stops at (X - 1)(X, Y).
+    spec = sigma_zero(sigma=X - P_ONE)
+    seed = (X - P_ONE) * Y
+    assert submodule_closure_probe(spec, seed, 4).ideal == [(X - P_ONE).to_json()]
+    with mock.patch.object(omega, "action_factors", broken_factors("flipped dx", "I", 0)):
+        mutant = submodule_closure_probe(spec, seed, 4)
+    assert mutant.ideal == [((X - P_ONE) * Y).to_json(), ((X - P_ONE) * X).to_json()]
+
+
+@pytest.mark.parametrize("scale", [sc(2), sc(-3), sc(0, 1), sc(1, 5)])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closure_ideal_does_not_depend_on_the_scale_of_the_delta_side(scale, data):
+    # The probe's docstring proves that any nonzero scale c of the -delta
+    # side of L's coefficients gives the same ideal, for delta(0) = 0 and
+    # delta(0) != 0 alike.  At index 0, L acts by Y alone, so scaling
+    # delta inside the probe scales that side and nothing else.
+    spec = draw_spec(data)
+    seed = draw_seed(data, spec, 4)
+    probe = submodule_closure_probe(spec, seed, 6)
+    with mock.patch.object(OmegaSpec, "l_delta", scaled_l_delta(scale)):
+        assert submodule_closure_probe(spec, seed, 6) == probe
 
 
 @pytest.mark.parametrize("s", [0, 4])
 @pytest.mark.parametrize("degree_cap", [5, 10])
 def test_closure_report_does_not_depend_on_visiting_order(s, degree_cap):
-    # Under the old breadth-first probe these seeds gave different reports
-    # for the family orders J,I,H,L and L,H,I,J.
-    spec = sigma_zero(eta=sc(3))
+    # The reduced basis depends only on the ideal: taking the queued images
+    # last in first out, or in the heap's array order, instead of lowest
+    # degree first changes no report, nor does rescaling the seed.  The
+    # capped reference gives the same rows in either visiting order, and
+    # they lie in the ideal.
     seed = random_poly(random.Random(s), 3)
-    index_bound = reference_index(degree_cap)
-    probe = submodule_closure_probe(spec, seed, degree_cap)
-    assert probe == reference_closure(spec, seed, index_bound, degree_cap)
-    assert probe == reference_closure(
-        spec, seed, index_bound, degree_cap, families="LHIJ", descending=True
-    )
-    assert probe == reference_closure(spec, seed.scale(sc(-2, 3)), index_bound, degree_cap)
-    rescaled = seed.scale(sc(5, 7))
-    assert probe == submodule_closure_probe(spec, rescaled, degree_cap)
+    for spec, seed in [
+        (sigma_zero(eta=sc(3)), seed),
+        (sigma_zero(eta=sc(3), sigma=X), X * seed),
+        (delta_only(delta=X * X + X.scale(sc(1, 9)) - P_ONE.scale(sc(1, 3))), X * seed),
+    ]:
+        probe = submodule_closure_probe(spec, seed, degree_cap)
+        for pop in (lambda queue: queue.pop(), lambda queue: queue.pop(0)):
+            with mock.patch.object(omega, "heappop", pop):
+                assert submodule_closure_probe(spec, seed, degree_cap) == probe
+        assert submodule_closure_probe(spec, seed.scale(sc(5, 7)), degree_cap) == probe
+        index_bound = reference_index(degree_cap)
+        reference = reference_closure(spec, seed, index_bound, degree_cap)
+        assert reference == reference_closure(
+            spec, seed, index_bound, degree_cap, families="LHIJ", descending=True
+        )
+        span = multiples(generators_of(probe), degree_cap)
+        assert all(span.contains(to_row(w)) for w in reference.rows)
+
+
+def test_closure_acts_only_where_the_index_polynomial_needs_it():
+    # lam^-m g_m v is a polynomial in m with deg_Y v + 1 coefficients
+    # (deg_Y v + 2 for L, whose top one, -delta D_(deg_Y v) v, needs no
+    # action), and the probe computes only those: for each element v that
+    # enters the basis (the seed, then each nonzero remainder), at most
+    # deg_Y v + 1 ``act`` calls per family, each with an index-0 generator
+    # on D_j v for some j.  The reference acts at every index up to its
+    # bound, pass after pass.
+    events = []
+    act, numerators = CachedAction.act, omega._numerators
+
+    def counted(self, g, f):
+        events.append((g, f))
+        return act(self, g, f)
+
+    def entering(terms):
+        events.append(numerators(terms))
+        return events[-1]
+
+    cases = [
+        (sigma_zero(eta=sc(1, 3)), X * Y + P_ONE),
+        (zero_sigma(lam=sc(3), eta=sc(1, 2), sigma=SIGMA_X2), SIGMA_X2 * Y),
+        (delta_only(delta=X * X), Y * Y + X),
+    ]
+    for spec, seed in cases:
+        with mock.patch.object(omega, "_numerators", entering), mock.patch.object(
+            CachedAction, "act", counted
+        ):
+            submodule_closure_probe(spec, seed, 10)
+            acted, events[:] = list(events), []
+            reference_closure(spec, seed, reference_index(10), 10)
+            reference_calls, events[:] = len(events), []
+        entered = [event for event in acted if isinstance(event, Numerators)]
+        assert proportional(as_poly(entered[0].terms), seed)
+        probe_calls = len(acted) - len(entered)
+        assert 0 < probe_calls <= 0.1 * reference_calls, (spec, probe_calls, reference_calls)
+        for event in acted:
+            if isinstance(event, Numerators):
+                v, counts = as_poly(event.terms), {}
+                allowed = [omega._taylor(event, j).terms for j in range(v.y_degree() + 1)]
+                continue
+            g, f = event
+            counts[g.family] = counts.get(g.family, 0) + 1
+            assert g.index == 0 and f.terms in allowed, (v, g, f.terms)
+            assert counts[g.family] <= v.y_degree() + 1, (v, g)
 
 
 def proportional(p, q):
@@ -673,52 +853,19 @@ def proportional(p, q):
     return mono is None or p.scale(q.terms[mono]) == q.scale(p.terms[mono])
 
 
-def test_closure_acts_only_where_the_index_polynomial_needs_it():
-    # lam^-m g_m v is a polynomial in m with deg_Y v + 1 coefficients
-    # (deg_Y v + 2 for L), and the probe computes only those: per queued
-    # remainder v and family, at most deg_Y v + 2 ``act`` calls, each with
-    # an index-0 generator on D_j v for some j (on v itself where only L_0
-    # fits, as for delta = X^2 at the top degree).  The reference acts at
-    # every index up to its bound, pass after pass; the probe made 3-5% of
-    # its calls on these cases, so the 0.1 bound is loose.
-    events = []
-    act = CachedAction.act
-
-    class Queue(deque):
-        def popleft(self):
-            events.append(super().popleft())
-            return events[-1]
-
-    def counted(self, g, f):
-        events.append((g, f))
-        return act(self, g, f)
-
-    cases = [
-        (sigma_zero(eta=sc(1, 3)), X * Y + P_ONE),
-        (zero_sigma(lam=sc(3), eta=sc(1, 2), sigma=SIGMA_X2), SIGMA_X2 * Y),
-        (delta_only(delta=X * X), Y * Y + X),
-    ]
-    for spec, seed in cases:
-        with mock.patch.object(omega, "deque", Queue), mock.patch.object(
-            CachedAction, "act", counted
-        ):
-            probe = submodule_closure_probe(spec, seed, 10)
-            acted, events[:] = list(events), []
-            assert probe == reference_closure(spec, seed, reference_index(10), 10)
-            reference_calls, events[:] = len(events), []
-        queued = [event for event in acted if isinstance(event, Numerators)]
-        assert len(queued) == probe.dimension
-        probe_calls = len(acted) - len(queued)
-        assert 0 < probe_calls <= 0.1 * reference_calls, (spec, probe_calls, reference_calls)
-        for event in acted:
-            if isinstance(event, Numerators):
-                v, counts = as_poly(event.terms), {}
-                taylor = [omega._taylor(event, j) for j in range(v.y_degree() + 2)]
-                allowed = [as_poly(d_j.terms) for d_j in taylor] + [v]
-                continue
-            g, f = event
-            f = as_poly(f.terms)
-            counts[g.family] = counts.get(g.family, 0) + 1
-            # The probe brings L's inputs to a common denominator with delta's.
-            assert g.index == 0 and any(proportional(f, p) for p in allowed), (v, g, f)
-            assert counts[g.family] <= v.y_degree() + 2, (v, g)
+def test_check_proper_ideal_accepts_the_certificate_and_refuses_others():
+    spec = sigma_zero(sigma=X)
+    seed = X * (Y * Y + X)
+    generators = generators_of(submodule_closure_probe(spec, seed, 4))
+    assert generators == [X]
+    assert check_proper_ideal(spec, seed, generators)
+    # (X, Y) is invariant for eta = 0 and holds the seed, but [X, X + Y]
+    # is not a Gröbner basis of it: the check needs one.
+    assert check_proper_ideal(spec, seed, [Y, X])
+    assert not check_proper_ideal(spec, seed, [X, X + Y])
+    # The seed must lie in the ideal, which must be proper and invariant:
+    # I_1 (X - 1) = 2 X (X - 2) is not in (X - 1).
+    assert not check_proper_ideal(spec, Y, [X])
+    assert not check_proper_ideal(spec, seed, [P_ONE])
+    assert not check_proper_ideal(spec, (X - P_ONE) * Y, [X - P_ONE])
+    assert not check_proper_ideal(spec, seed, [])

@@ -21,6 +21,14 @@ After the timed pairs, one traced pair per workload (``--seconds 0.1
 + 10: at that length each run completes exactly one traced round, so both
 sides count the same inputs.
 
+Last, every workload runs ``SETUP_PAIRS`` alternating pairs of the set-up
+alone: perfbench's hidden ``--setup-only`` child, timed as ``run.py``
+times it for ``setup_s``, from spawn to its ``ready`` line, in one tree
+per side extracted once for this phase.  Pair j uses the workload's seed
+j mod ``PAIRS``, and the parent starts even-numbered pairs.  A benchmark
+run takes the median of only a few such spawns, so ``setup_only`` gives a
+``setup_s`` reading its own re-measure.
+
 For each end-to-end metric that BENCHMARK.json names, the file records every
 run, each side's median and quartiles (``statistics.quantiles(n=4,
 method='inclusive')``), the relative change of the medians and
@@ -41,11 +49,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+SETUP_PAIRS = 40
 
 
 def archive(rev: str, tar: Path) -> Path:
@@ -77,6 +87,30 @@ def run_once(tar: Path, scratch: Path, workload: str, seed: int,
                          f"{done.returncode}:\n{done.stderr}")
     context, result = done.stdout.strip().splitlines()[-2:]
     return json.loads(context)["context"], json.loads(result)
+
+
+def extract(tar: Path, scratch: Path) -> Path:
+    tree = Path(tempfile.mkdtemp(dir=scratch))
+    with tarfile.open(tar) as handle:
+        handle.extractall(tree, filter="data")
+    return tree
+
+
+def setup_once(tree: Path, workload: str, seed: int) -> float:
+    """Seconds from spawning ``run.py --setup-only`` in ``tree`` to its
+    ``ready`` line."""
+    command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload",
+               workload, "--seed", str(seed), "--setup-only"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    started = time.perf_counter()
+    with subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.PIPE) as child:
+        line = child.stdout.readline()
+        elapsed = time.perf_counter() - started
+        child.stdout.read()
+        code = child.wait(timeout=60)
+    if line.strip() != b"ready" or code:
+        raise SystemExit(f"bench_pairs: {workload} seed {seed} set-up child failed")
+    return elapsed
 
 
 def summary(values: list) -> dict:
@@ -122,13 +156,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         scratch = Path(scratch)
         tars = {side: archive(rev, scratch / f"{side}.tar") for side, rev in revs.items()}
+        seeds = {}
         host = None
         for i, workload in enumerate(workloads):
-            seeds = [args.first_seed + i * PAIRS + j for j in range(PAIRS)]
+            seeds[workload] = [args.first_seed + i * PAIRS + j for j in range(PAIRS)]
             values = {m["name"]: {side: [] for side in SIDES} for m in metrics}
             kernel = {side: [] for side in SIDES}
             failed = dict.fromkeys(SIDES, 0)
-            for j, seed in enumerate(seeds):
+            for j, seed in enumerate(seeds[workload]):
                 order = SIDES if j % 2 == 0 else SIDES[::-1]
                 for side in order:
                     context, result = run_once(tars[side], scratch, workload, seed,
@@ -143,7 +178,7 @@ def main(argv=None) -> int:
                           f"{result['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
             out["workloads"][workload] = {
                 "pairs": PAIRS,
-                "seeds": seeds,
+                "seeds": seeds[workload],
                 "failed_items": failed,
                 "metrics": {
                     m["name"]: metric_record(m["unit"], m["better"], values[m["name"]])
@@ -160,6 +195,17 @@ def main(argv=None) -> int:
                 pair[side] = {"traced_rounds": context["traced_rounds"],
                               "failed": result["failed"], **result["metrics"]}
             out["traced"]["pairs"].append(pair)
+        trees = {side: extract(tars[side], scratch) for side in SIDES}
+        out["setup_only"] = {}
+        for workload in workloads:
+            times = {side: [] for side in SIDES}
+            for j in range(SETUP_PAIRS):
+                seed = seeds[workload][j % PAIRS]
+                for side in SIDES if j % 2 == 0 else SIDES[::-1]:
+                    times[side].append(setup_once(trees[side], workload, seed))
+            out["setup_only"][workload] = {
+                "pairs": SETUP_PAIRS, "setup_s": metric_record("s", "lower", times),
+            }
 
     description = (
         f"Alternating parent/change pairs of `python3 perfbench/run.py --workload W "
@@ -172,7 +218,10 @@ def main(argv=None) -> int:
         f"change_better_pairs counts pairs where the change reads strictly better "
         f"(ties count for neither). kernel_s is each run's median calibration kernel "
         f"time. `traced` holds one pair per workload of `--seconds 0.1 --trace 1` "
-        f"(seed {traced_seed}, parent first). Made by tools/bench_pairs.py."
+        f"(seed {traced_seed}, parent first). `setup_only` holds {SETUP_PAIRS} "
+        f"alternating pairs per workload of the `--setup-only` child, timed from "
+        f"spawn to `ready` in one extracted tree per side, at the workload's seed "
+        f"j mod {PAIRS}. Made by tools/bench_pairs.py."
     )
     document = {"description": f"{description} {args.note}".strip(), "host": host, **out}
     Path(args.out).write_text(json.dumps(document, indent=1) + "\n")
@@ -181,6 +230,11 @@ def main(argv=None) -> int:
             print(f"{workload:8} {name:12} {metric['parent']['median']:.6g} -> "
                   f"{metric['change']['median']:.6g} ({metric['change_vs_parent']:+.2%}), "
                   f"change better in {metric['change_better_pairs']}/{PAIRS}")
+    for workload, record in out["setup_only"].items():
+        metric = record["setup_s"]
+        print(f"{workload:8} setup-only   {metric['parent']['median']:.6g} -> "
+              f"{metric['change']['median']:.6g} ({metric['change_vs_parent']:+.2%}), "
+              f"change better in {metric['change_better_pairs']}/{SETUP_PAIRS}")
     return 0
 
 
