@@ -17,6 +17,7 @@ monic, so the reduced basis of an ideal is unique.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 __all__ = [
@@ -67,15 +68,15 @@ def normal_form(f: Polynomial, basis: List[Polynomial]) -> Polynomial:
     ``basis``.  Modulo a Gröbner basis the remainder is ``{}`` exactly when
     f lies in the ideal; modulo ``[]`` it is f over its leading coefficient.
     """
+    leads = [(leading(g), g) for g in basis]
     work = {mono: c for mono, c in f.items() if c}
     remainder = {}
     while work:
         mono = leading(work)
-        g = next((g for g in basis if _divides(leading(g), mono)), None)
+        lead, g = next(((lead, g) for lead, g in leads if _divides(lead, mono)), (None, None))
         if g is None:
             remainder[mono] = work.pop(mono)
         else:
-            lead = leading(g)
             _subtract(work, work[mono], (mono[0] - lead[0], mono[1] - lead[1]), g)
     if not remainder:
         return {}
@@ -145,10 +146,7 @@ def dimension_by_degree(basis: List[Polynomial], cap: int) -> List[int]:
     """dim(I ∩ P≤k) for k = 0..cap, for a Gröbner ``basis`` of I: the
     monomials of degree at most k that some leading monomial divides."""
     leads = [leading(g) for g in basis]
-    return [
-        sum(
-            any(_divides(lead, (a, d - a)) for lead in leads)
-            for d in range(k + 1) for a in range(d + 1)
-        )
-        for k in range(cap + 1)
-    ]
+    return list(accumulate(
+        sum(any(_divides(lead, (a, d - a)) for lead in leads) for a in range(d + 1))
+        for d in range(cap + 1)
+    ))

@@ -205,8 +205,8 @@ class SparseEchelon:
     Rows are dicts mapping columns to nonzero scalars.  A column is any
     hashable key, and all the columns of one echelon must be mutually
     comparable: "smallest" below is their natural order (integers, or
-    tuples).  Only ``kernel_vector_at_first_free_column`` needs the integer columns
-    0..ncols-1.  ``pivots`` maps each pivot column to its stored row.
+    tuples).  Only ``kernel_vector_at_first_free_column`` needs the integer
+    columns 0..ncols-1.  ``pivots`` maps each pivot column to its stored row.
 
     The invariant: every stored row has a 1 at its pivot, which is its
     smallest column, and a 0 at every other pivot.  The stored rows are

@@ -423,8 +423,6 @@ def _coefficients(
     return images
 
 
-_ONE = [{(0, 0): Scalar(1)}]
-
 
 def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> ClosureReport:
     """U(g) seed, the submodule that the seed generates, as an ideal.
@@ -520,7 +518,7 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
 
     basis = [ideal.normal_form(seed.terms, [])]
     enter(basis[0])
-    while queue and basis != _ONE:
+    while queue and ideal.leading(basis[0]) != (0, 0):
         r = ideal.normal_form(heappop(queue)[2], basis)
         if r:
             basis = ideal.extend(basis, r)
@@ -529,7 +527,7 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
     by_degree = ideal.dimension_by_degree(basis, degree_cap)
     return ClosureReport(
         dimension=by_degree[-1],
-        contains_one=basis == _ONE,
+        contains_one=ideal.leading(basis[0]) == (0, 0),
         dimension_by_degree=by_degree,
         degree_cap=degree_cap,
         ideal=[Poly(g).to_json() for g in basis],

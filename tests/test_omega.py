@@ -643,6 +643,17 @@ def test_closure_ideal_is_the_reduced_groebner_basis():
         assert submodule_closure_probe(spec, seed.scale(sc(-2, 3)), 6) == probe
 
 
+def test_closure_completes_the_basis_by_s_polynomials():
+    # With delta = 0 every L image is Y D_j v.  From the seed
+    # v = i X Y^2 + (3 - i) X, X Y enters the basis below v's leading
+    # monomial X Y^2, and their S-polynomial, v - i Y (X Y) = (3 - i) X,
+    # puts X in.  Dropping v for its leading monomial instead, with no
+    # S-polynomials, the probe stops at (X Y, X^2).
+    spec = delta_only(lam=sc(0, 1), delta=P_ZERO)
+    seed = (X * Y * Y).scale(sc(0, 1)) + X.scale(sc(3, -1))
+    assert submodule_closure_probe(spec, seed, 4).ideal == [X.to_json()]
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_closure_is_closed_at_indices_beyond_every_bound(data):
@@ -869,3 +880,6 @@ def test_check_proper_ideal_accepts_the_certificate_and_refuses_others():
     assert not check_proper_ideal(spec, seed, [P_ONE])
     assert not check_proper_ideal(spec, (X - P_ONE) * Y, [X - P_ONE])
     assert not check_proper_ideal(spec, seed, [])
+    # Every index-0 generator of the delta family multiplies, so (Y) passes
+    # at m = 0; L_1 Y = 2 (Y - 1)(Y + X) is not in (Y).
+    assert not check_proper_ideal(delta_only(), Y, [Y])
