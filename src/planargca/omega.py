@@ -21,14 +21,15 @@ are restricted to Gaussian rationals so that every check is exact.
 
 Every nonzero action is a fixed multiplier times the ring homomorphism
 f -> f(X+dx, Y+dy) with integer shifts.  ``action_factors`` states the
-table above once in that form; ``omega_act``, ``degree_raise`` and the
-integer ``CachedAction`` read it.  ``CachedAction`` caches each
-generator's monomial images as Gaussian-integer numerators over one
-denominator, and one kernel, ``_GeneratorImages.apply``, merges them.  The
-closure probe acts through ``CachedAction.act``, which takes and returns
-numerators; ``verify_omega_axioms`` calls the kernel directly and adds both
-sides of each axiom, cross-multiplied, into one sum of numerators that must
-vanish, with no ``Poly`` or ``Scalar`` inside its loop.
+table above once in that form; ``omega_act`` and ``CachedAction`` read it.
+``CachedAction`` caches each generator's monomial images as
+Gaussian-integer numerators over one denominator, and one kernel,
+``_GeneratorImages.apply``, merges them.  ``CachedAction.act`` takes and
+returns ``Poly`` and equals ``omega_act``; the closure probe acts through
+it.  Only the axiom sweep works in numerators: ``verify_omega_axioms``
+calls the kernel directly and adds both sides of each axiom,
+cross-multiplied, into one sum of numerators that must vanish, with no
+``Poly`` or ``Scalar`` inside its loop.
 
 ``submodule_closure_probe`` computes U(g) seed, the submodule that a seed
 generates.  H_0 and L_0 act as multiplication by X and by Y, so it is an
@@ -63,7 +64,6 @@ __all__ = [
     "OmegaSpec",
     "action_factors",
     "omega_act",
-    "degree_raise",
     "OmegaAxiomReport",
     "verify_omega_axioms",
     "ClosureReport",
@@ -132,8 +132,8 @@ def action_factors(spec: OmegaSpec, g: Generator) -> Optional[Tuple[Poly, int, i
     """``(multiplier, dx, dy)``: ``g`` acts by multiplier * f(X+dx, Y+dy).
 
     This is the table above as data, with lam^m folded into the multiplier
-    and dy = -m; ``None`` when ``g`` acts as zero.  ``omega_act``,
-    ``degree_raise`` and ``CachedAction`` all read it.
+    and dy = -m; ``None`` when ``g`` acts as zero.  ``omega_act`` and
+    ``CachedAction`` both read it.
     """
     if g.is_central:
         return None
@@ -157,17 +157,6 @@ def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
         return P_ZERO
     multiplier, dx, dy = factors
     return multiplier * f.shift(Scalar(dx), Scalar(dy))
-
-
-def degree_raise(spec: OmegaSpec, g: Generator) -> Optional[int]:
-    """Exact rise in total degree when ``g`` acts on a nonzero polynomial.
-
-    ``None`` when ``g`` acts as zero.  Every action above is a shift, which
-    keeps the top homogeneous part, times a fixed nonzero multiplier, and
-    the polynomial ring is a domain, so the rise is the multiplier's degree.
-    """
-    factors = action_factors(spec, g)
-    return None if factors is None else factors[0].total_degree()
 
 
 # A Gaussian-integer polynomial: exponent pair -> (real, imaginary) numerator.
@@ -245,21 +234,6 @@ class _GeneratorImages:
         return total
 
 
-class Numerators:
-    """A polynomial up to a nonzero scale, in Gaussian integers.
-
-    ``terms`` maps the exponents ``(a, b)`` of X^a Y^b to the numerators
-    ``(p, q)`` of its coefficient (p + q i) / c, over one common
-    denominator c that is not kept: the closure probe needs only ideals,
-    which do not see the scale of their elements.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: _IntImage):
-        self.terms = terms
-
-
 class CachedAction:
     """Generator actions extended linearly over cached integer monomial images.
 
@@ -273,9 +247,11 @@ class CachedAction:
     image is a Gaussian-integer polynomial over that denominator, and each
     new image costs one pass of integer additions over a cached one.
     ``_GeneratorImages.apply`` is the one kernel that merges images in
-    integers.  ``act``, the closure probe's action, hands it the input's
-    numerators and returns its numerators, with no ``Poly`` or
-    ``Scalar``; the axiom sweep calls it directly.
+    integers.  ``act`` takes and returns ``Poly`` and equals ``omega_act``:
+    it hands the kernel the input's numerators over their common
+    denominator and reads the result back over that denominator times the
+    images'.  The axiom sweep calls the kernel directly and stays in
+    numerators.
     """
 
     def __init__(self, spec: OmegaSpec):
@@ -288,16 +264,24 @@ class CachedAction:
             self._generators[g] = None if factors is None else _GeneratorImages(*factors)
         return self._generators[g]
 
-    def act(self, g: Generator, f: Numerators) -> Dict[Tuple[int, int], List[int]]:
-        """Numerators of g.f, as ``_GeneratorImages.apply`` gives them.
+    def act(self, g: Generator, f: Poly) -> Poly:
+        """g.f, equal to ``omega_act(spec, g, f)``.
 
-        For f over some denominator c the result is over c times the
-        ``denominator`` of g's images; empty when g acts as zero.
+        f goes to the kernel as numerators over their common denominator c,
+        and g.f comes back over c times the ``denominator`` of g's images.
         """
         images = self._images(g)
         if images is None:
-            return {}
-        return images.apply(f.terms)
+            return P_ZERO
+        common = lcm(*(c.d for c in f.terms.values()))
+        total = images.apply({
+            mono: (c.a * (common // c.d), c.b * (common // c.d)) for mono, c in f.terms.items()
+        })
+        denominator = common * images.denominator
+        return Poly({
+            mono: scalar_from_ints(re, im, denominator)
+            for mono, (re, im) in total.items() if re or im
+        })
 
 
 @dataclass
@@ -390,38 +374,9 @@ class ClosureReport:
     ideal: List[list]
 
 
-def _taylor(v: Numerators, j: int) -> Numerators:
+def _taylor(v: Poly, j: int) -> Poly:
     """D_j v = ∂_Y^j v / j!, the coefficient of t^j in v(X, Y+t)."""
-    return Numerators({
-        (a, b - j): (p * comb(b, j), q * comb(b, j))
-        for (a, b), (p, q) in v.terms.items() if b >= j
-    })
-
-
-def _numerators(terms: Dict[Tuple[int, int], Scalar]) -> Numerators:
-    """The Gaussian-integer numerators of a polynomial's ``terms`` over
-    their common denominator."""
-    common = lcm(*(c.d for c in terms.values()))
-    return Numerators({
-        mono: (c.a * (common // c.d), c.b * (common // c.d)) for mono, c in terms.items()
-    })
-
-
-def _coefficients(
-    action: CachedAction, g: Generator, taylor: List[Numerators], minus_delta: _GeneratorImages
-) -> List[Dict[Tuple[int, int], List[int]]]:
-    """C_(g,j) v for j = 0..t + 1 and the index-0 generator g of one
-    family, given ``taylor`` = [D_0 v, ..., D_t v] with t = deg_Y v:
-    g_0(D_j v), with D_(t+1) v = 0, and for L plus c (-delta) D_(j-1) v,
-    with c the denominator of ``minus_delta`` (see
-    ``submodule_closure_probe``).  Only L has a nonzero last coefficient.
-    """
-    images = [action.act(g, d_j) for d_j in taylor] + [{}]
-    if g.family == "L":
-        for image, lower in zip(images[1:], taylor):
-            minus_delta.apply(lower.terms, image)
-    return images
-
+    return Poly({(a, b - j): c * comb(b, j) for (a, b), c in v.terms.items() if b >= j})
 
 
 def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> ClosureReport:
@@ -461,32 +416,18 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
     distinct indices (the Vandermonde matrix is invertible).  So (G) is
     invariant exactly when every C_(g,j) G_i lies in (G).
 
-    **The scale of L's delta side does not matter.**  The probe adds
-    c (-delta) D_(j-1) v, with c > 0 the denominator of -delta, to the
-    integer image L_0(D_j v), so that the sum is in integers.  Let v lie
-    in an ideal I together with every C_(H,j) v = X D_j v.  Then for any
-    nonzero c, every Y D_j v - c delta D_(j-1) v lies in I exactly when
-    every C_(L,j) v does.  Write delta = delta_0 + X delta_1(X); since
-    X D_(j-1) v is in I, both conditions read Y D_j v - c delta_0 D_(j-1) v
-    in I for every j (with c = 1 for C_(L,j)).  If delta_0 = 0 that is
-    Y D_j v in I for every j, free of c.  Otherwise j = deg_Y v + 1 gives
-    D_(deg_Y v) v in I, and then each lower j, with Y D_j v in I, gives
-    D_(j-1) v in I: the condition is that every D_j v lies in I, again
-    free of c.  So the scaled images of the generators lie in (G) exactly
-    when the true ones do, and the images of any v in U(g) seed lie in
-    U(g) seed at every scale.
-
-    **The algorithm.**  G starts as {seed}.  Each element that enters G
-    queues its images C_(g,j), through ``CachedAction.act``; one queued
-    image at a time, lowest total degree first, is reduced modulo G, and a
-    nonzero remainder enters G, which Buchberger's algorithm then completes
-    to the reduced Gröbner basis (``ideal.extend``).  The loop stops when
-    the queue is empty, or when G = {1}.  The ideals form an ascending
-    chain, so it stops (Hilbert's basis theorem).  The seed and the
-    remainders generate (G), and each of their images reduces to 0 modulo
-    the final G, so (G) is invariant; every element added lies in U(g)
-    seed, so (G) = U(g) seed.  Taking one image at a time, lowest degree
-    first, keeps the intermediate bases small.
+    **The algorithm.**  G starts as {seed}.  Each element v that enters G
+    queues its images C_(g,j) v: g_0(D_j v) through ``CachedAction.act``,
+    plus -delta D_(j-1) v for L.  One queued image at a time, lowest total
+    degree first, is reduced modulo G, and a nonzero remainder enters G,
+    which Buchberger's algorithm then completes to the reduced Gröbner
+    basis (``ideal.extend``).  The loop stops when the queue is empty, or
+    when G = {1}.  The ideals form an ascending chain, so it stops
+    (Hilbert's basis theorem).  The seed and the remainders generate (G),
+    and each of their images reduces to 0 modulo the final G, so (G) is
+    invariant; every element added lies in U(g) seed, so (G) = U(g) seed.
+    Taking one image at a time, lowest degree first, keeps the
+    intermediate bases small.
 
     ``contains_one`` is exact both ways: true proves that the seed
     generates the whole module, and false proves a proper submodule, at
@@ -500,21 +441,21 @@ def submodule_closure_probe(spec: OmegaSpec, seed: Poly, degree_cap: int) -> Clo
         if action_factors(spec, Generator(fam, 0)) is not None
     ]
     action = CachedAction(spec)
-    minus_delta = _GeneratorImages(-spec.l_delta, 0, 0)
+    delta = spec.l_delta
     queue: List[Tuple[int, int, Dict[Tuple[int, int], Scalar]]] = []
     queued = count()
 
     def enter(r: Dict[Tuple[int, int], Scalar]) -> None:
-        v = _numerators(r)
-        taylor = [v] + [_taylor(v, j) for j in range(1, max(b for _, b in r) + 1)]
+        v = Poly(r)
+        taylor = [v] + [_taylor(v, j) for j in range(1, v.y_degree() + 1)]
         for g in families:
-            for image in _coefficients(action, g, taylor, minus_delta):
-                image = {
-                    mono: scalar_from_ints(re, im, 1)
-                    for mono, (re, im) in image.items() if re or im
-                }
+            images = [action.act(g, d_j) for d_j in taylor] + [P_ZERO]
+            if g.family == "L":
+                for j, lower in enumerate(taylor, 1):
+                    images[j] = images[j] - delta * lower
+            for image in images:
                 if image:
-                    heappush(queue, (max(map(sum, image)), next(queued), image))
+                    heappush(queue, (image.total_degree(), next(queued), image.terms))
 
     basis = [ideal.normal_form(seed.terms, [])]
     enter(basis[0])

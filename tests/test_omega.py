@@ -1,7 +1,8 @@
 import dataclasses
 import random
+from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
+from heapq import heappush
 from typing import NamedTuple
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planargca import omega
+from planargca import ideal, omega
 from planargca.algebra import (
     C1,
     CENTRALS,
@@ -25,17 +26,15 @@ from planargca.linalg import SparseEchelon
 from planargca.omega import (
     CachedAction,
     InvalidSpec,
-    Numerators,
     OmegaSpec,
     check_proper_ideal,
-    degree_raise,
     omega_act,
     submodule_closure_probe,
     verify_omega_axioms,
 )
 from planargca.poly import P_ONE, P_ZERO, Poly, X, Y
 from planargca.sampling import random_poly
-from planargca.scalars import ONE, sc, scalar_from_ints
+from planargca.scalars import ONE, sc
 
 
 def sigma_zero(lam=sc(2), eta=sc(0), sigma=P_ONE):
@@ -48,29 +47,6 @@ def zero_sigma(lam=sc(2), eta=sc(0), sigma=P_ONE):
 
 def delta_only(lam=sc(2), delta=X):
     return OmegaSpec(variant="delta_only", lam=lam, delta=delta)
-
-
-def as_poly(terms, denominator=1):
-    """The polynomial with the numerators ``terms`` over ``denominator``."""
-    return Poly({
-        mono: scalar_from_ints(re, im, denominator)
-        for mono, (re, im) in terms.items()
-        if re or im
-    })
-
-
-def act_on_poly(action, g, f):
-    """``CachedAction.act`` on a polynomial: ``f`` goes in as numerators over
-    its common denominator c, and the image comes back over c times the
-    denominator of g's images."""
-    common = lcm(*(c.d for c in f.terms.values()))
-    f_numerators = Numerators({
-        mono: (c.a * (common // c.d), c.b * (common // c.d))
-        for mono, c in f.terms.items()
-    })
-    images = action._images(g)
-    denominator = common * (1 if images is None else images.denominator)
-    return as_poly(action.act(g, f_numerators), denominator)
 
 
 def test_spec_validation():
@@ -189,38 +165,10 @@ def test_cached_action_matches_direct():
     for _ in range(10):
         f = random_poly(rng, 3)
         g = Generator("LHIJ"[rng.randrange(4)], rng.randint(-3, 3))
-        assert act_on_poly(action, g, f) == omega_act(spec, g, f)
+        assert action.act(g, f) == omega_act(spec, g, f)
 
 
 SIGMA_X2 = X * X + P_ONE
-
-RAISE_SPECS = [
-    sigma_zero(),
-    sigma_zero(eta=sc(1, 2), sigma=SIGMA_X2),
-    zero_sigma(lam=sc(3), sigma=X),
-    zero_sigma(lam=sc(1, 1), eta=sc(-2), sigma=SIGMA_X2),
-    delta_only(),
-    delta_only(lam=sc(-1), delta=X * X),
-    delta_only(delta=SIGMA_X2.scale(sc(0, 1))),
-    delta_only(delta=P_ZERO),
-]
-
-
-@pytest.mark.parametrize("spec", RAISE_SPECS)
-def test_degree_raise_matches_action(spec):
-    gens = [Generator(fam, idx) for fam in "LHIJ" for idx in range(-4, 5)]
-    gens += list(CENTRALS)
-    rng = random.Random(31)
-    polys = [random_poly(rng, 4) for _ in range(6)] + [P_ONE]
-    for g in gens:
-        rise = degree_raise(spec, g)
-        for f in polys:
-            image = omega_act(spec, g, f)
-            if rise is None:
-                assert not image, (g, f)
-            else:
-                assert image.total_degree() == f.total_degree() + rise, (g, f)
-
 
 def original_table(spec, g, f):
     """The three action tables as first written, one per variant."""
@@ -303,9 +251,9 @@ def test_cached_action_matches_omega_act(data):
     for _ in range(data.draw(st.integers(1, 6))):
         g = data.draw(st.sampled_from(ACTION_GENERATORS))
         f = draw_poly(data, 10, univariate=False)
-        image = act_on_poly(action, g, f)
+        image = action.act(g, f)
         assert image == omega_act(spec, g, f), (spec, g, f)
-        assert act_on_poly(action, g, image) == omega_act(spec, g, image)
+        assert action.act(g, image) == omega_act(spec, g, image)
 
 
 def reference_axioms(spec, index_bound, basis_cap):
@@ -437,7 +385,7 @@ def reference_closure(spec, seed, index_bound, degree_cap, families="JIHL", desc
         inserted = False
         for poly in [to_poly(row) for row in basis.rows_sorted()]:
             for g in generators:
-                image = act_on_poly(action, g, poly)
+                image = action.act(g, poly)
                 if image and image.total_degree() <= degree_cap:
                     inserted = basis.insert(to_row(image)) or inserted
     rows = [to_poly(row) for row in basis.rows_sorted()]
@@ -719,12 +667,22 @@ def test_closure_contains_the_reference_that_acts_everywhere(data):
     assert probe.contains_one or not reference.contains_one
 
 
-def drop_the_top_l_coefficient(action, g, taylor, minus_delta):
-    images = TRUE_COEFFICIENTS(action, g, taylor, minus_delta)
-    return images[:-1] if g.family == "L" else images
+@contextmanager
+def recording_entries(seed, events):
+    """Append to ``events`` each element that enters the probe's basis, in
+    order: the monic seed now, then each remainder as ``ideal.extend`` takes
+    it in."""
+    events.append(Poly(ideal.normal_form(seed.terms, [])))
+    extend = ideal.extend
+
+    def recording(basis, r):
+        events.append(Poly(r))
+        return extend(basis, r)
+
+    with mock.patch.object(ideal, "extend", recording):
+        yield
 
 
-TRUE_COEFFICIENTS = omega._coefficients
 TRUE_L_DELTA = OmegaSpec.l_delta.func
 
 
@@ -747,7 +705,16 @@ def test_closure_needs_the_top_l_coefficient():
     assert probe.ideal == [X.to_json()]
     reference = reference_closure(spec, seed, reference_index(3), 3)
     assert reference.dimension_by_degree == probe.dimension_by_degree
-    with mock.patch.object(omega, "_coefficients", drop_the_top_l_coefficient):
+    entered = []
+
+    def push_all_but_the_top_l_coefficient(queue, item):
+        v = entered[-1]
+        if Poly(item[-1]) != -(spec.l_delta * omega._taylor(v, v.y_degree())):
+            heappush(queue, item)
+
+    with recording_entries(seed, entered), mock.patch.object(
+        omega, "heappush", push_all_but_the_top_l_coefficient
+    ):
         mutant = submodule_closure_probe(spec, seed, 3)
     assert mutant.ideal == [(X * Y).to_json(), (X * X).to_json()]
     with mock.patch.object(OmegaSpec, "l_delta", scaled_l_delta(sc(0))):
@@ -770,10 +737,14 @@ def test_closure_needs_the_sign_of_the_sigma_shift():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_closure_ideal_does_not_depend_on_the_scale_of_the_delta_side(scale, data):
-    # The probe's docstring proves that any nonzero scale c of the -delta
-    # side of L's coefficients gives the same ideal, for delta(0) = 0 and
-    # delta(0) != 0 alike.  At index 0, L acts by Y alone, so scaling
-    # delta inside the probe scales that side and nothing else.
+    # An ideal I that holds v and every X D_j v holds every
+    # Y D_j v - c delta D_(j-1) v for one nonzero c exactly when it does for
+    # all of them: with delta = delta(0) + X delta_1, the condition is
+    # Y D_j v in I for every j if delta(0) = 0, and D_j v in I for every j
+    # otherwise (from the top j down).  So any nonzero scale of the -delta
+    # side of L's coefficients gives the same ideal.  At index 0, L acts by
+    # Y alone, so scaling delta inside the probe scales that side and
+    # nothing else.
     spec = draw_spec(data)
     seed = draw_seed(data, spec, 4)
     probe = submodule_closure_probe(spec, seed, 6)
@@ -818,15 +789,11 @@ def test_closure_acts_only_where_the_index_polynomial_needs_it():
     # on D_j v for some j.  The reference acts at every index up to its
     # bound, pass after pass.
     events = []
-    act, numerators = CachedAction.act, omega._numerators
+    act = CachedAction.act
 
     def counted(self, g, f):
         events.append((g, f))
         return act(self, g, f)
-
-    def entering(terms):
-        events.append(numerators(terms))
-        return events[-1]
 
     cases = [
         (sigma_zero(eta=sc(1, 3)), X * Y + P_ONE),
@@ -834,25 +801,24 @@ def test_closure_acts_only_where_the_index_polynomial_needs_it():
         (delta_only(delta=X * X), Y * Y + X),
     ]
     for spec, seed in cases:
-        with mock.patch.object(omega, "_numerators", entering), mock.patch.object(
-            CachedAction, "act", counted
-        ):
-            submodule_closure_probe(spec, seed, 10)
+        with mock.patch.object(CachedAction, "act", counted):
+            with recording_entries(seed, events):
+                submodule_closure_probe(spec, seed, 10)
             acted, events[:] = list(events), []
             reference_closure(spec, seed, reference_index(10), 10)
             reference_calls, events[:] = len(events), []
-        entered = [event for event in acted if isinstance(event, Numerators)]
-        assert proportional(as_poly(entered[0].terms), seed)
+        entered = [event for event in acted if isinstance(event, Poly)]
+        assert proportional(entered[0], seed)
         probe_calls = len(acted) - len(entered)
         assert 0 < probe_calls <= 0.1 * reference_calls, (spec, probe_calls, reference_calls)
         for event in acted:
-            if isinstance(event, Numerators):
-                v, counts = as_poly(event.terms), {}
-                allowed = [omega._taylor(event, j).terms for j in range(v.y_degree() + 1)]
+            if isinstance(event, Poly):
+                v, counts = event, {}
+                allowed = [omega._taylor(v, j) for j in range(v.y_degree() + 1)]
                 continue
             g, f = event
             counts[g.family] = counts.get(g.family, 0) + 1
-            assert g.index == 0 and f.terms in allowed, (v, g, f.terms)
+            assert g.index == 0 and f in allowed, (v, g, f)
             assert counts[g.family] <= v.y_degree() + 1, (v, g)
 
 
