@@ -27,9 +27,12 @@ Gaussian-integer numerators over one denominator, and one kernel,
 ``_GeneratorImages.apply``, merges them.  ``CachedAction.act`` takes and
 returns ``Poly`` and equals ``omega_act``; the closure probe acts through
 it.  Only the axiom sweep works in numerators: ``verify_omega_axioms``
-calls the kernel directly and adds both sides of each axiom,
-cross-multiplied, into one sum of numerators that must vanish, with no
-``Poly`` or ``Scalar`` inside its loop.
+calls the kernel directly, once per generator pair, and adds both sides
+of the pair's axiom at f = 1, cross-multiplied, into one residual
+multiplier per shift.  The axiom holds on every polynomial when each
+residual vanishes; otherwise the residuals act on the monomial grid and
+name the monomials where it fails.  No ``Poly`` or ``Scalar`` enters its
+loop.
 
 ``submodule_closure_probe`` computes U(g) seed, the submodule that a seed
 generates.  H_0 and L_0 act as multiplication by X and by Y, so it is an
@@ -163,6 +166,15 @@ def omega_act(spec: OmegaSpec, g: Generator, f: Poly) -> Poly:
 _IntImage = Dict[Tuple[int, int], Tuple[int, int]]
 
 
+def _numerators(p: Poly) -> Tuple[_IntImage, int]:
+    """p's coefficients as Gaussian-integer numerators over their least
+    common denominator, and that denominator."""
+    common = lcm(*(c.d for c in p.terms.values()))
+    return {
+        mono: (c.a * (common // c.d), c.b * (common // c.d)) for mono, c in p.terms.items()
+    }, common
+
+
 def _times_linear(image: _IntImage, step: Tuple[int, int], shift: int) -> _IntImage:
     """``image * (V + shift)`` for the variable V whose exponent ``step`` raises."""
     da, db = step
@@ -187,15 +199,9 @@ class _GeneratorImages:
 
     __slots__ = ("denominator", "dx", "dy", "images")
 
-    def __init__(self, multiplier: Poly, dx: int, dy: int):
-        denominator = lcm(*(c.d for c in multiplier.terms.values()))
+    def __init__(self, multiplier: _IntImage, denominator: int, dx: int, dy: int):
         self.denominator, self.dx, self.dy = denominator, dx, dy
-        self.images: Dict[Tuple[int, int], _IntImage] = {
-            (0, 0): {
-                mono: (c.a * (denominator // c.d), c.b * (denominator // c.d))
-                for mono, c in multiplier.terms.items()
-            }
-        }
+        self.images: Dict[Tuple[int, int], _IntImage] = {(0, 0): multiplier}
 
     def image(self, mono: Tuple[int, int]) -> _IntImage:
         """Numerators of the image of X^a Y^b, built up from the nearest
@@ -261,7 +267,11 @@ class CachedAction:
     def _images(self, g: Generator) -> Optional[_GeneratorImages]:
         if g not in self._generators:
             factors = action_factors(self.spec, g)
-            self._generators[g] = None if factors is None else _GeneratorImages(*factors)
+            if factors is None:
+                self._generators[g] = None
+            else:
+                multiplier, dx, dy = factors
+                self._generators[g] = _GeneratorImages(*_numerators(multiplier), dx, dy)
         return self._generators[g]
 
     def act(self, g: Generator, f: Poly) -> Poly:
@@ -273,10 +283,8 @@ class CachedAction:
         images = self._images(g)
         if images is None:
             return P_ZERO
-        common = lcm(*(c.d for c in f.terms.values()))
-        total = images.apply({
-            mono: (c.a * (common // c.d), c.b * (common // c.d)) for mono, c in f.terms.items()
-        })
+        numerators, common = _numerators(f)
+        total = images.apply(numerators)
         denominator = common * images.denominator
         return Poly({
             mono: scalar_from_ints(re, im, denominator)
@@ -303,22 +311,38 @@ def verify_omega_axioms(
 
     Runs over every ordered generator pair with index magnitude up to the
     bound (antisymmetry makes the reversed pair redundant, so only one
-    orientation is checked) and every monomial X^a Y^b with a, b up to the
-    cap.  Each check is one sum that must vanish.  In Gaussian-integer
-    numerators (``CachedAction``'s cached images, merged by
-    ``_GeneratorImages.apply``), the bracket side [g1, g2] f = sum c_k g_k f
-    is lhs over D_lhs = lcm(c_k.d D_k), and the commutator g1(g2 f) -
-    g2(g1 f) is rhs over D_rhs = D1 D2, with D the generators'
-    denominators.  The sweep accumulates
+    orientation is checked) and reports each monomial X^a Y^b, with a, b up
+    to the cap, on which the pair's axiom fails.
+
+    **One residual per pair.**  Every action is g f = M_g tau_g(f), with
+    tau_g the ring homomorphism f -> f(X+dx, Y+dy) (``action_factors``).
+    So g1(g2 f) = g1(M_g2) tau_g1 tau_g2(f), and g2(g1 f) =
+    g2(M_g1) tau_g2 tau_g1(f) carries the same shift, because translations
+    commute.  Hence, for every f,
+
+        sum c_k g_k f - (g1 g2 - g2 g1) f = sum_s P_s tau_s(f),
+
+    where s runs over the shifts of the terms and P_s, the sum of the
+    multipliers of the terms with shift s, is their residual at f = 1.  If
+    every P_s vanishes, the axiom holds on every polynomial and no monomial
+    is visited.  Otherwise the sum is evaluated on each grid monomial, and
+    exactly the monomials where it is nonzero are reported: terms with
+    different shifts can cancel on some monomials and not on others.
+
+    **In integers.**  The P_s come from ``CachedAction``'s cached
+    multipliers, merged by ``_GeneratorImages.apply``.  The bracket side is
+    lhs over D_lhs = lcm(c_k.d D_k), and the commutator is rhs over
+    D_rhs = D1 D2, with D the generators' denominators.  The residual is
 
         lhs * D_rhs - rhs * D_lhs
 
-    in one integer dict: D_rhs is folded into the bracket coefficients once
-    per pair, and -D_lhs and +D_lhs into the inputs of g1(g2 f) and
-    g2(g1 f).  Both denominators are positive, so lhs / D_lhs = rhs / D_rhs
-    exactly when lhs D_rhs = rhs D_lhs, part by part and monomial by
-    monomial: the sum vanishes exactly when the axiom holds, without
-    reducing either side.
+    in one integer dict per shift: D_rhs is folded into the bracket
+    coefficients, and -D_lhs and +D_lhs into the inner multipliers of
+    g1(g2 1) and g2(g1 1).  Both denominators are positive, so at every f
+    the residual vanishes exactly when the axiom holds, part by part and
+    monomial by monomial, without reducing either side.  On the grid each
+    nonzero P_s acts through the same kernel, as a multiplier over
+    denominator 1 with shift s.
     """
     report = OmegaAxiomReport(index_bound=index_bound, basis_cap=basis_cap)
     gens = generators_up_to(index_bound)
@@ -337,29 +361,36 @@ def verify_omega_axioms(
             ]
             bracket = [(images, coeff) for images, coeff in bracket if images is not None]
             lhs_den = lcm(*(coeff.d * images.denominator for images, coeff in bracket))
-            scaled = []
+            residual: Dict[Tuple[int, int], Dict[Tuple[int, int], List[int]]] = {}
             for images, coeff in bracket:
                 scale = rhs_den * (lhs_den // (coeff.d * images.denominator))
-                scaled.append((images, coeff.a * scale, coeff.b * scale))
+                images.apply(
+                    {(0, 0): (coeff.a * scale, coeff.b * scale)},
+                    residual.setdefault((images.dx, images.dy), {}),
+                )
+            if not either_zero:
+                total = residual.setdefault(
+                    (images1.dx + images2.dx, images1.dy + images2.dy), {}
+                )
+                for outer, inner, sign in (
+                    (images1, images2, -lhs_den), (images2, images1, lhs_den)
+                ):
+                    outer.apply(
+                        {out: (sign * re, sign * im)
+                         for out, (re, im) in inner.image((0, 0)).items()},
+                        total,
+                    )
+            parts = []
+            for (dx, dy), total in residual.items():
+                multiplier = {out: (re, im) for out, (re, im) in total.items() if re or im}
+                if multiplier:
+                    parts.append(_GeneratorImages(multiplier, 1, dx, dy))
+            if not parts:
+                continue
             for mono in monomials:
-                total: Dict[Tuple[int, int], List[int]] = {}
-                for images, p, q in scaled:
-                    images.apply({mono: (p, q)}, total)
-                if not either_zero:
-                    images1.apply(
-                        {
-                            out: (-lhs_den * re, -lhs_den * im)
-                            for out, (re, im) in images2.image(mono).items()
-                        },
-                        total,
-                    )
-                    images2.apply(
-                        {
-                            out: (lhs_den * re, lhs_den * im)
-                            for out, (re, im) in images1.image(mono).items()
-                        },
-                        total,
-                    )
+                total = {}
+                for part in parts:
+                    part.apply({mono: (1, 0)}, total)
                 if any(re or im for re, im in total.values()):
                     report.violations.append(f"[{g1},{g2}] on X^{mono[0]}Y^{mono[1]}")
     return report

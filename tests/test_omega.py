@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 from heapq import heappush
@@ -335,6 +336,61 @@ def test_axiom_sweep_reports_a_broken_table():
         report = verify_omega_axioms(spec, 2, 1)
         assert report.violations
         assert (report.pairs_checked, report.violations) == reference_axioms(spec, 2, 1)
+
+
+def test_axiom_sweep_reports_the_monomials_where_mixed_shifts_differ():
+    # With L_-2's X-shift flipped from 0 to 1, the commutator of
+    # [L_-2, I_-1] shifts X by 0 and its bracket side, a multiple of I_-3,
+    # by -1.  The two shifts agree on polynomials in Y alone, so the
+    # residual vanishes at f = 1 and yet the pair fails on exactly the
+    # monomials of X-degree at least 1.
+    spec = sigma_zero(eta=sc(1, 3))
+    with mock.patch.object(omega, "action_factors", broken_factors("flipped dx", "L", -2)):
+        report = verify_omega_axioms(spec, 2, 2)
+        assert (report.pairs_checked, report.violations) == reference_axioms(spec, 2, 2)
+    assert [v for v in report.violations if v.startswith("[L[-2],I[-1]]")] == [
+        f"[L[-2],I[-1]] on X^{a}Y^{b}" for a in (1, 2) for b in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [sigma_zero(sigma=X), zero_sigma(eta=sc(1, 3)), delta_only()],
+    ids=["sigma_zero", "zero_sigma", "delta_only"],
+)
+def test_axiom_sweep_work_does_not_grow_with_the_cap(spec):
+    # On a true table every pair's residual vanishes, so no monomial of the
+    # grid reaches the kernel.
+    kernel = omega._GeneratorImages.apply
+
+    def kernel_calls(basis_cap):
+        with mock.patch.object(
+            omega._GeneratorImages, "apply", autospec=True, side_effect=kernel
+        ) as apply:
+            assert verify_omega_axioms(spec, 2, basis_cap).ok
+        return apply.call_count
+
+    calls = kernel_calls(0)
+    assert calls > 0
+    assert kernel_calls(6) == calls
+
+
+def test_axioms_hold_at_index_four_and_cap_eight():
+    # The five acceptance specs.  Checking each pair once makes the cap
+    # free: checking every pair on every monomial took about 9 s of CPU
+    # here.
+    started = time.process_time()
+    for spec in (
+        sigma_zero(eta=sc(1, 3)),
+        sigma_zero(eta=sc(1, 3), sigma=X),
+        zero_sigma(eta=sc(1, 3)),
+        zero_sigma(eta=sc(1, 3), sigma=X),
+        delta_only(),
+    ):
+        report = verify_omega_axioms(spec, 4, 8)
+        assert report.ok, report.violations
+        assert report.pairs_checked == 780
+    assert time.process_time() - started < 2.0
 
 
 class Reference(NamedTuple):

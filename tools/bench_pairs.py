@@ -16,10 +16,12 @@ code of their own commit.  Every workload of BENCHMARK.json runs
 ``PAIRS`` pairs, in the file's order.  Pair j of a workload uses one seed
 for both sides, and the parent runs first in even-numbered pairs, counting
 from 0.  Workload i takes the seeds S + i * PAIRS .. S + (i + 1) * PAIRS - 1.
-After the timed pairs, one traced pair per workload (``--seconds 0.1
+After the timed pairs, one traced pair per workload (``--seconds 0
 --trace 1``, parent first) runs at seed S + (number of workloads) * PAIRS
-+ 10: at that length each run completes exactly one traced round, so both
-sides count the same inputs.
++ 10.  ``run.py``'s traced loop always completes its first round and
+starts another only if it should end within ``--seconds``, so at 0 each
+run completes exactly one traced round, and both sides count the same
+inputs.
 
 Last, every workload runs ``SETUP_PAIRS`` alternating pairs of the set-up
 alone: perfbench's hidden ``--setup-only`` child, timed as ``run.py``
@@ -191,7 +193,7 @@ def main(argv=None) -> int:
             pair = {"workload": workload, "seed": traced_seed, "first": "parent"}
             for side in SIDES:
                 context, result = run_once(tars[side], scratch, workload, traced_seed,
-                                           0.1, 1)
+                                           0, 1)
                 pair[side] = {"traced_rounds": context["traced_rounds"],
                               "failed": result["failed"], **result["metrics"]}
             out["traced"]["pairs"].append(pair)
@@ -217,7 +219,7 @@ def main(argv=None) -> int:
         f"Quartiles: statistics.quantiles(n=4, method='inclusive'). "
         f"change_better_pairs counts pairs where the change reads strictly better "
         f"(ties count for neither). kernel_s is each run's median calibration kernel "
-        f"time. `traced` holds one pair per workload of `--seconds 0.1 --trace 1` "
+        f"time. `traced` holds one pair per workload of `--seconds 0 --trace 1` "
         f"(seed {traced_seed}, parent first). `setup_only` holds {SETUP_PAIRS} "
         f"alternating pairs per workload of the `--setup-only` child, timed from "
         f"spawn to `ready` in one extracted tree per side, at the workload's seed "
