@@ -369,7 +369,7 @@ def verify_omega_axioms(
                     residual.setdefault((images.dx, images.dy), {}),
                 )
             if not either_zero:
-                total = residual.setdefault(
+                commutator = residual.setdefault(
                     (images1.dx + images2.dx, images1.dy + images2.dy), {}
                 )
                 for outer, inner, sign in (
@@ -378,17 +378,17 @@ def verify_omega_axioms(
                     outer.apply(
                         {out: (sign * re, sign * im)
                          for out, (re, im) in inner.image((0, 0)).items()},
-                        total,
+                        commutator,
                     )
             parts = []
-            for (dx, dy), total in residual.items():
-                multiplier = {out: (re, im) for out, (re, im) in total.items() if re or im}
+            for (dx, dy), sums in residual.items():
+                multiplier = {out: (re, im) for out, (re, im) in sums.items() if re or im}
                 if multiplier:
                     parts.append(_GeneratorImages(multiplier, 1, dx, dy))
             if not parts:
                 continue
             for mono in monomials:
-                total = {}
+                total: Dict[Tuple[int, int], List[int]] = {}
                 for part in parts:
                     part.apply({mono: (1, 0)}, total)
                 if any(re or im for re, im in total.values()):
